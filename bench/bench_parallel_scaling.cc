@@ -8,10 +8,10 @@
 //      throughput is *wall-clock* queries/second; the simulated TTI is
 //      printed alongside and must be identical at every thread count
 //      (the equivalence tests enforce the same bit-for-bit).
-//   2. `Executor::ExecuteSharded` — one heavy scan-dominated query whose
-//      initial index range is split across workers.
-//   3. `TraversalMatcher::MatchSharded` — the graph-store analogue: the
-//      first pattern step's candidate range is split across workers.
+//   2. `Executor::Execute` with a pool — one heavy scan-dominated query
+//      whose initial index range is split across workers.
+//   3. `TraversalMatcher::Drain` with a pool — the graph-store analogue:
+//      the first pattern step's candidate range is split across workers.
 //   4. Parallel load — block-parallel dataset generation plus the
 //      permutation/sub-shard-parallel `TripleTable::BulkLoad`.
 //
@@ -119,7 +119,7 @@ void RunBatchScaling(JsonReporter* json) {
 }
 
 void RunShardedScan(JsonReporter* json) {
-  std::printf("Sharded scan execution (Executor::ExecuteSharded)\n\n");
+  std::printf("Sharded scan execution (Executor::Execute, pooled)\n\n");
 
   rdf::Dataset ds = MakeDataset(WorkloadKind::kYago);
   core::DualStoreConfig cfg;
@@ -150,7 +150,13 @@ void RunShardedScan(JsonReporter* json) {
     const auto t0 = std::chrono::steady_clock::now();
     for (int r = 0; r < reps; ++r) {
       CostMeter meter;
-      auto result = store.executor().ExecuteSharded(*q, &meter, &pool, shards);
+      const relstore::Executor::CompiledQuery cq =
+          store.executor().Compile(*q);
+      auto joined = store.executor().Execute(cq, nullptr, nullptr, &meter,
+                                             &pool);
+      auto result = joined.ok()
+                        ? relstore::Executor::Project(*joined, cq.out_vars)
+                        : joined;
       if (!result.ok()) {
         std::fprintf(stderr, "query failed: %s\n",
                      result.status().ToString().c_str());
@@ -176,7 +182,7 @@ void RunShardedScan(JsonReporter* json) {
 }
 
 void RunShardedTraversal(JsonReporter* json) {
-  std::printf("Sharded graph traversal (TraversalMatcher::MatchSharded)\n\n");
+  std::printf("Sharded graph traversal (TraversalMatcher::Drain, pooled)\n\n");
 
   rdf::Dataset ds = MakeDataset(WorkloadKind::kYago);
   core::DualStoreConfig cfg;
@@ -193,7 +199,7 @@ void RunShardedTraversal(JsonReporter* json) {
   graphstore::TraversalMatcher matcher(&store.graph(), &ds.dict());
 
   // The flagship star: a heavy traversal whose root step enumerates every
-  // wasBornIn edge — the candidate range MatchSharded partitions.
+  // wasBornIn edge — the candidate range a pooled Drain partitions.
   auto q = sparql::Parser::Parse(
       "SELECT ?p ?c ?a WHERE { ?p y:wasBornIn ?c . "
       "?p y:hasAcademicAdvisor ?a . ?a y:wasBornIn ?c . }");
@@ -221,8 +227,9 @@ void RunShardedTraversal(JsonReporter* json) {
     const auto t0 = std::chrono::steady_clock::now();
     for (int r = 0; r < reps; ++r) {
       CostMeter meter;
-      auto result =
-          matcher.MatchSharded(*plan, nullptr, &meter, &pool, shards);
+      auto cursor = matcher.OpenCursor(*plan, nullptr, &meter);
+      auto result = cursor.ok() ? matcher.Drain(&*cursor, &pool)
+                                : Result<sparql::BindingTable>(cursor.status());
       if (!result.ok()) {
         std::fprintf(stderr, "traversal failed: %s\n",
                      result.status().ToString().c_str());

@@ -56,12 +56,17 @@ DualStore::DualStore(rdf::Dataset* dataset, const DualStoreConfig& config,
 }
 
 Result<QueryExecution> DualStore::Process(const Query& query) const {
-  return processor_->Process(query);
+  DSKG_ASSIGN_OR_RETURN(PreparedPlan plan, Prepare(query));
+  if (!plan.params.empty()) {
+    return Status::FailedPrecondition(
+        "query has unbound parameters; prepare and bind it instead");
+  }
+  return ExecutePlan(plan, nullptr);
 }
 
 Result<QueryExecution> DualStore::Process(std::string_view text) const {
   DSKG_ASSIGN_OR_RETURN(Query query, sparql::Parser::Parse(text));
-  return processor_->Process(query);
+  return Process(query);
 }
 
 Result<PreparedPlan> DualStore::Prepare(const Query& query) const {

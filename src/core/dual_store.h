@@ -67,8 +67,9 @@ struct DualStoreConfig {
   /// index permutations in parallel (borrowed; null = serial). Loaded
   /// state and charges are bit-identical either way.
   ThreadPool* load_pool = nullptr;
-  /// Pool handed to the query processor for sharded graph traversal
-  /// (borrowed; null = serial); `SetExecutionPool` can change it later.
+  /// Pool handed to the query processor for sharded graph traversal, one
+  /// shard per worker (borrowed; null = serial); `SetExecutionPool` can
+  /// change it later.
   ThreadPool* exec_pool = nullptr;
 };
 
@@ -93,7 +94,8 @@ class DualStore {
 
   // ---- online path --------------------------------------------------------
 
-  /// Routes and executes a parsed query (Algorithm 3).
+  /// Routes and executes a parsed query (Algorithm 3): `Prepare`, then
+  /// `ExecutePlan`. Parameterized queries fail with FailedPrecondition.
   Result<QueryExecution> Process(const sparql::Query& query) const;
 
   /// Parses `text` and processes it.

@@ -85,15 +85,28 @@ size_t PlanParamIndex(const std::vector<std::string>& params,
   return params.size();  // unreachable for well-formed plans
 }
 
-/// Builds the artifact-local -> plan-level parameter index map.
-std::vector<size_t> ParamMap(const std::vector<std::string>& plan_params,
-                             const std::vector<std::string>& local_names) {
-  std::vector<size_t> map;
-  map.reserve(local_names.size());
-  for (const std::string& n : local_names) {
-    map.push_back(PlanParamIndex(plan_params, n));
+/// Re-indexes a compiled artifact's `$param` sites (numbered in the
+/// artifact's own first-appearance order) onto the plan-level order, so
+/// every execution hands the plan's value array to the engines as-is.
+void Rebase(const std::vector<std::string>& params,
+            Executor::CompiledQuery* cq) {
+  for (Executor::CompiledQuery::ParamSite& site : cq->param_sites) {
+    site.param = static_cast<uint32_t>(
+        PlanParamIndex(params, cq->param_names[site.param]));
   }
-  return map;
+  cq->param_names = params;
+}
+
+void Rebase(const std::vector<std::string>& params,
+            TraversalMatcher::Plan* gp) {
+  for (TraversalMatcher::EncPat& p : gp->patterns) {
+    for (TraversalMatcher::End* e : {&p.subject, &p.object}) {
+      if (e->param < 0) continue;
+      e->param = static_cast<int>(
+          PlanParamIndex(params, gp->param_names[e->param]));
+    }
+  }
+  gp->param_names = params;
 }
 
 /// Records the `$param` sites of `q`'s patterns into `sites`.
@@ -115,45 +128,20 @@ void RecordAstSites(const Query& q, uint8_t which,
 
 }  // namespace
 
-std::vector<TermId> QueryProcessor::MapParams(const std::vector<size_t>& map,
-                                              const TermId* param_values) {
-  std::vector<TermId> out;
-  out.reserve(map.size());
-  for (size_t i : map) {
-    out.push_back(param_values != nullptr ? param_values[i]
-                                          : rdf::kInvalidTermId);
-  }
-  return out;
-}
-
-Result<BindingTable> QueryProcessor::MatchAll(
-    const TraversalMatcher::Plan& plan, const std::vector<size_t>& map,
-    const TermId* param_values, CostMeter* meter) const {
+Result<BindingTable> QueryProcessor::RunRelational(
+    const Executor::CompiledQuery& cq, const TermId* param_values,
+    const BindingTable* seed, CostMeter* meter) const {
   auto& reg = telemetry::MetricsRegistry::Global();
   const bool telem = reg.enabled();
   const double wall0 = telem ? reg.NowMicros() : 0;
-  const double sim0 = telem && meter != nullptr ? meter->sim_micros() : 0;
-  BindingTable out;
-  out.columns = plan.out_vars;
-  if (plan.impossible && plan.param_names.empty()) return out;
-  const std::vector<TermId> local = MapParams(map, param_values);
-  // MatchSharded splits the root candidate range across the pool when one
-  // is configured and falls back to the serial drain otherwise; rows and
-  // charges are bit-identical either way.
-  DSKG_ASSIGN_OR_RETURN(
-      out, matcher_->MatchSharded(plan,
-                                  local.empty() ? nullptr : local.data(),
-                                  meter, config_.exec_pool,
-                                  config_.max_traversal_shards));
+  const double sim0 = telem ? meter->sim_micros() : 0;
+  DSKG_ASSIGN_OR_RETURN(BindingTable joined,
+                        executor_->Execute(cq, param_values, seed, meter));
   if (telem) {
-    // Wall vs. simulated pair for the same traversal: how the real clock
-    // tracks the cost model's TTI charge.
-    Qm().graph_match_wall_us->Record(reg.NowMicros() - wall0);
-    if (meter != nullptr) {
-      Qm().graph_match_sim_us->Record(meter->sim_micros() - sim0);
-    }
+    Qm().rel_exec_wall_us->Record(reg.NowMicros() - wall0);
+    Qm().rel_exec_sim_us->Record(meter->sim_micros() - sim0);
   }
-  return out;
+  return joined;
 }
 
 IdentifiedQuery QueryProcessor::BindSplit(const PreparedPlan& plan,
@@ -190,11 +178,13 @@ Result<PreparedPlan> QueryProcessor::Prepare(const Query& query) const {
                    &plan.ast_param_sites);
   }
 
-  // The remainder's projection: the query's own (explicit) output.
-  auto remainder_with_projection = [&]() {
+  // The remainder (if any), projected to the query's own output.
+  auto compile_remainder = [&]() {
+    if (plan.split.remainder.patterns.empty()) return;
     Query rem = plan.split.remainder;
     rem.select_vars = plan.out_vars;
-    return rem;
+    plan.remainder = executor_->Compile(rem);
+    Rebase(plan.params, &plan.remainder);
   };
 
   // ---- route selection (Algorithm 3, decided once) ----------------------
@@ -205,22 +195,15 @@ Result<PreparedPlan> QueryProcessor::Prepare(const Query& query) const {
       plan.route = Route::kGraphOnly;
       DSKG_ASSIGN_OR_RETURN(plan.graph_whole,
                             matcher_->Compile(plan.split.query));
-      plan.graph_whole_param_map =
-          ParamMap(plan.params, plan.graph_whole.param_names);
+      Rebase(plan.params, &plan.graph_whole);
       return plan;
     }
     if (GraphCovers(qc)) {
       // Case 2: q_c in the graph store, remainder in the relational store.
       plan.route = Route::kDualStore;
       DSKG_ASSIGN_OR_RETURN(plan.graph_complex, matcher_->Compile(qc));
-      plan.graph_complex_param_map =
-          ParamMap(plan.params, plan.graph_complex.param_names);
-      if (!plan.split.remainder.patterns.empty()) {
-        plan.has_remainder = true;
-        plan.remainder = executor_->Compile(remainder_with_projection());
-        plan.remainder_param_map =
-            ParamMap(plan.params, plan.remainder.param_names);
-      }
+      Rebase(plan.params, &plan.graph_complex);
+      compile_remainder();
       return plan;
     }
     // Case 3 falls through.
@@ -231,132 +214,38 @@ Result<PreparedPlan> QueryProcessor::Prepare(const Query& query) const {
     // RDB-views: probe the catalog per execution (the view's filters are
     // the *bound* constants), fall back to Case 3 on a miss.
     plan.try_view = true;
-    if (!plan.split.remainder.patterns.empty()) {
-      plan.has_remainder = true;
-      plan.remainder = executor_->Compile(remainder_with_projection());
-      plan.remainder_param_map =
-          ParamMap(plan.params, plan.remainder.param_names);
-    }
+    compile_remainder();
   }
 
   // Case 3 (and the view-miss fallback): the whole query, relational.
   plan.rel = executor_->Compile(plan.split.query);
-  plan.rel_param_map = ParamMap(plan.params, plan.rel.param_names);
+  Rebase(plan.params, &plan.rel);
   return plan;
 }
 
-Result<QueryExecution> QueryProcessor::ExecutePlan(
-    const PreparedPlan& plan, const TermId* param_values) const {
+// ---- execution --------------------------------------------------------------
+
+namespace {
+
+/// Drains a graph cursor whole through `matcher` — sharded over `pool`
+/// while the cursor is unread — and records the traversal's wall vs.
+/// simulated pair: how the real clock tracks the cost model's charge.
+Result<BindingTable> DrainGraph(const TraversalMatcher& matcher,
+                                TraversalMatcher::Cursor* cursor,
+                                const CostMeter& meter, ThreadPool* pool) {
   auto& reg = telemetry::MetricsRegistry::Global();
   const bool telem = reg.enabled();
-  const double start_us = telem ? reg.NowMicros() : 0;
-  QueryExecution exec;
-  exec.split = BindSplit(plan, param_values);
-
-  CostMeter rel_meter;
-  CostMeter graph_meter(&CostModel::Default(), config_.graph_throttle);
-  CostMeter migrate_meter;
-
-  auto finish = [&](BindingTable result, Route route) -> QueryExecution {
-    exec.result = std::move(result);
-    exec.route = route;
-    exec.rel_micros = rel_meter.sim_micros();
-    exec.graph_micros = graph_meter.sim_micros();
-    exec.migrate_micros = migrate_meter.sim_micros();
-    exec.graph_io_micros = graph_meter.io_micros();
-    exec.graph_cpu_micros = graph_meter.cpu_micros();
-    const int ri = static_cast<int>(route);
-    Qm().route_count[ri]->Add();
-    if (telem) {
-      const double wall = reg.NowMicros() - start_us;
-      Qm().wall_us[ri]->Record(wall);
-      Qm().sim_us[ri]->Record(exec.total_micros());
-      if (reg.traces().enabled()) {
-        reg.traces().Record("query.execute", start_us, wall);
-      }
-    }
-    return exec;
-  };
-
-  // Relational executions wrapped with their wall/simulated pair.
-  auto run_rel = [&](const Executor::CompiledQuery& cq,
-                     const std::vector<TermId>& local,
-                     BindingTable* seed) -> Result<BindingTable> {
-    const double wall0 = telem ? reg.NowMicros() : 0;
-    const double sim0 = telem ? rel_meter.sim_micros() : 0;
-    Result<BindingTable> res = executor_->ExecuteCompiled(
-        cq, local.empty() ? nullptr : local.data(), seed, &rel_meter);
-    if (telem && res.ok()) {
-      Qm().rel_exec_wall_us->Record(reg.NowMicros() - wall0);
-      Qm().rel_exec_sim_us->Record(rel_meter.sim_micros() - sim0);
-    }
-    return res;
-  };
-
-  if (plan.route == Route::kGraphOnly) {
-    DSKG_ASSIGN_OR_RETURN(BindingTable result,
-                          MatchAll(plan.graph_whole,
-                                   plan.graph_whole_param_map, param_values,
-                                   &graph_meter));
-    return finish(std::move(result), Route::kGraphOnly);
+  const double wall0 = telem ? reg.NowMicros() : 0;
+  const double sim0 = telem ? meter.sim_micros() : 0;
+  DSKG_ASSIGN_OR_RETURN(BindingTable out, matcher.Drain(cursor, pool));
+  if (telem) {
+    Qm().graph_match_wall_us->Record(reg.NowMicros() - wall0);
+    Qm().graph_match_sim_us->Record(meter.sim_micros() - sim0);
   }
-
-  if (plan.route == Route::kDualStore) {
-    DSKG_ASSIGN_OR_RETURN(BindingTable inter,
-                          MatchAll(plan.graph_complex,
-                                   plan.graph_complex_param_map,
-                                   param_values, &graph_meter));
-    // Migrate the intermediate results into the temporary table space.
-    // The matcher's columnar table is handed to the executor as-is —
-    // the seed adoption is one flat-buffer copy, no per-row re-keying.
-    migrate_meter.Add(Op::kMigrateResultRow, inter.NumRows());
-    migrate_meter.Add(Op::kTempTableTuple, inter.NumRows());
-    if (!plan.has_remainder) {
-      // Defensive: with an empty remainder, Case 1 should have fired.
-      return finish(std::move(inter), Route::kDualStore);
-    }
-    const std::vector<TermId> local =
-        MapParams(plan.remainder_param_map, param_values);
-    DSKG_ASSIGN_OR_RETURN(BindingTable result,
-                          run_rel(plan.remainder, local, &inter));
-    return finish(std::move(result), Route::kDualStore);
-  }
-
-  if (plan.try_view) {
-    const Query& bound_qc = *exec.split.complex;
-    std::optional<relstore::MaterializedViewManager::Answer> ans =
-        views_->TryAnswer(bound_qc.patterns, &rel_meter);
-    if (ans.has_value()) {
-      if (!plan.has_remainder) {
-        return finish(ans->bindings.Project(plan.out_vars),
-                      Route::kViewAssisted);
-      }
-      const std::vector<TermId> local =
-          MapParams(plan.remainder_param_map, param_values);
-      DSKG_ASSIGN_OR_RETURN(BindingTable result,
-                            run_rel(plan.remainder, local, &ans->bindings));
-      return finish(std::move(result), Route::kViewAssisted);
-    }
-  }
-
-  // ---- Case 3: relational store ------------------------------------------
-  const std::vector<TermId> local = MapParams(plan.rel_param_map,
-                                              param_values);
-  DSKG_ASSIGN_OR_RETURN(BindingTable result,
-                        run_rel(plan.rel, local, nullptr));
-  return finish(std::move(result), Route::kRelationalOnly);
+  return out;
 }
 
-Result<QueryExecution> QueryProcessor::Process(const Query& query) const {
-  DSKG_ASSIGN_OR_RETURN(PreparedPlan plan, Prepare(query));
-  if (!plan.params.empty()) {
-    return Status::FailedPrecondition(
-        "query has unbound parameters; prepare and bind it instead");
-  }
-  return ExecutePlan(plan, nullptr);
-}
-
-// ---- streaming --------------------------------------------------------------
+}  // namespace
 
 /// Cursor internals. Meters live here so the engine cursors can hold
 /// stable pointers to them while the public object moves around.
@@ -367,18 +256,31 @@ struct ExecutionCursor::Body {
   CostMeter graph_meter;
   CostMeter migrate_meter;
 
-  /// Graph-only route: the resumable traversal streams rows directly.
+  /// Graph-only route: the resumable traversal streams rows directly; a
+  /// whole drain goes through `matcher`, sharded over `pool`.
   std::optional<TraversalMatcher::Cursor> graph_cursor;
-  bool graph_impossible = false;
+  const TraversalMatcher* matcher = nullptr;
+  ThreadPool* pool = nullptr;
 
   /// Every other route: the final (unprojected) join intermediate plus
-  /// the projection column map; chunks are projected on demand.
+  /// its output columns (`Executor::OutputColumns`); chunks are projected
+  /// on demand.
   BindingTable joined;
   std::vector<int> out_cols;
   size_t next_row = 0;
 
   std::vector<std::string> columns;
   bool done = false;
+
+  /// Route and cost breakdown accrued so far (everything but the split).
+  void Report(QueryExecution* exec) const {
+    exec->route = route;
+    exec->rel_micros = rel_meter.sim_micros();
+    exec->graph_micros = graph_meter.sim_micros();
+    exec->migrate_micros = migrate_meter.sim_micros();
+    exec->graph_io_micros = graph_meter.io_micros();
+    exec->graph_cpu_micros = graph_meter.cpu_micros();
+  }
 };
 
 ExecutionCursor::ExecutionCursor() = default;
@@ -401,13 +303,8 @@ Route ExecutionCursor::route() const {
 QueryExecution ExecutionCursor::Execution() const {
   QueryExecution exec;
   if (body_ == nullptr) return exec;
-  exec.route = body_->route;
   exec.split = body_->split;
-  exec.rel_micros = body_->rel_meter.sim_micros();
-  exec.graph_micros = body_->graph_meter.sim_micros();
-  exec.migrate_micros = body_->migrate_meter.sim_micros();
-  exec.graph_io_micros = body_->graph_meter.io_micros();
-  exec.graph_cpu_micros = body_->graph_meter.cpu_micros();
+  body_->Report(&exec);
   return exec;
 }
 
@@ -417,6 +314,9 @@ Status ExecutionCursor::Next(sparql::BindingTable* chunk, size_t max_rows,
     return Status::FailedPrecondition(
         "cursor is empty (default-constructed or moved from)");
   }
+  if (max_rows == 0) {
+    return Status::InvalidArgument("a cursor pull must ask for >= 1 row");
+  }
   Body& b = *body_;
   chunk->columns = b.columns;
   chunk->ClearRows();
@@ -425,20 +325,19 @@ Status ExecutionCursor::Next(sparql::BindingTable* chunk, size_t max_rows,
     return Status::OK();
   }
   if (b.graph_cursor.has_value()) {
-    DSKG_RETURN_NOT_OK(b.graph_cursor->Fill(chunk, max_rows, &b.done));
+    if (max_rows == std::numeric_limits<size_t>::max()) {
+      DSKG_ASSIGN_OR_RETURN(*chunk, DrainGraph(*b.matcher, &*b.graph_cursor,
+                                               b.graph_meter, b.pool));
+      b.done = true;
+    } else {
+      DSKG_RETURN_NOT_OK(b.graph_cursor->Fill(chunk, max_rows, &b.done));
+    }
     *done = b.done;
     return Status::OK();
   }
-  const size_t stride = b.out_cols.size();
-  const size_t end = std::min(b.joined.NumRows(), b.next_row + max_rows);
-  chunk->ReserveRows(end - b.next_row);
-  for (size_t r = b.next_row; r < end; ++r) {
-    const TermId* row = b.joined.RowData(r);
-    TermId* out_row = chunk->AppendRow();
-    for (size_t c = 0; c < stride; ++c) {
-      out_row[c] = row[b.out_cols[c]];
-    }
-  }
+  const size_t end =
+      b.next_row + std::min(max_rows, b.joined.NumRows() - b.next_row);
+  chunk->AppendRowsFrom(b.joined, b.out_cols, b.next_row, end);
   b.next_row = end;
   if (b.next_row >= b.joined.NumRows()) b.done = true;
   *done = b.done;
@@ -452,113 +351,87 @@ Result<ExecutionCursor> QueryProcessor::OpenCursor(
   ExecutionCursor::Body& b = *cursor.body_;
   b.split = BindSplit(plan, param_values);
   b.graph_meter = CostMeter(&CostModel::Default(), config_.graph_throttle);
+  b.matcher = matcher_;
+  b.pool = config_.exec_pool;
 
-  // Adopts a fully joined (unprojected) table: resolve the projection
-  // columns once; chunks copy through them. Missing columns are legal
-  // only when no rows exist (then the header is still the full
-  // projection, as the materialized path normalizes it).
-  auto adopt_joined = [&](BindingTable joined,
-                          const std::vector<std::string>& vars,
-                          bool drop_missing) -> Status {
-    b.out_cols.clear();
-    b.columns.clear();
-    for (const std::string& v : vars) {
-      const int c = joined.ColumnIndex(v);
-      if (c >= 0) {
-        b.out_cols.push_back(c);
-        b.columns.push_back(v);
-      } else if (!drop_missing) {
-        if (!joined.empty()) {
-          return Status::Internal("projection lost columns unexpectedly");
-        }
-        b.columns = vars;
-        b.out_cols.clear();
-        b.joined = BindingTable{};
-        return Status::OK();
-      }
-    }
-    b.joined = std::move(joined);
-    return Status::OK();
-  };
-
+  // ---- Case 1: the traversal streams as the cursor is pulled -----------
   if (plan.route == Route::kGraphOnly) {
     b.route = Route::kGraphOnly;
     b.columns = plan.graph_whole.out_vars;
-    const std::vector<TermId> local =
-        MapParams(plan.graph_whole_param_map, param_values);
     DSKG_ASSIGN_OR_RETURN(
         TraversalMatcher::Cursor gc,
-        matcher_->OpenCursor(plan.graph_whole,
-                             local.empty() ? nullptr : local.data(),
-                             &b.graph_meter));
+        matcher_->OpenCursor(plan.graph_whole, param_values, &b.graph_meter));
     b.graph_cursor = std::move(gc);
     return cursor;
   }
 
+  // ---- Case 2 and view hits: a seed for the relational remainder -------
+  std::optional<BindingTable> seed;
   if (plan.route == Route::kDualStore) {
     b.route = Route::kDualStore;
-    DSKG_ASSIGN_OR_RETURN(BindingTable inter,
-                          MatchAll(plan.graph_complex,
-                                   plan.graph_complex_param_map,
-                                   param_values, &b.graph_meter));
-    b.migrate_meter.Add(Op::kMigrateResultRow, inter.NumRows());
-    b.migrate_meter.Add(Op::kTempTableTuple, inter.NumRows());
-    if (!plan.has_remainder) {
-      // Defensive: the intermediate *is* the result, already projected.
-      std::vector<std::string> vars = inter.columns;
-      DSKG_RETURN_NOT_OK(adopt_joined(std::move(inter), vars, false));
-      return cursor;
-    }
-    const std::vector<TermId> local =
-        MapParams(plan.remainder_param_map, param_values);
     DSKG_ASSIGN_OR_RETURN(
-        BindingTable joined,
-        executor_->ExecuteCompiledJoined(
-            plan.remainder, local.empty() ? nullptr : local.data(), &inter,
-            &b.rel_meter));
-    DSKG_RETURN_NOT_OK(
-        adopt_joined(std::move(joined), plan.remainder.out_vars, false));
-    return cursor;
-  }
-
-  if (plan.try_view) {
-    const Query& bound_qc = *b.split.complex;
+        TraversalMatcher::Cursor gc,
+        matcher_->OpenCursor(plan.graph_complex, param_values,
+                             &b.graph_meter));
+    DSKG_ASSIGN_OR_RETURN(
+        seed, DrainGraph(*matcher_, &gc, b.graph_meter, config_.exec_pool));
+    // Migrate the intermediate results into the temporary table space.
+    // The matcher's columnar table is handed to the executor as-is — the
+    // seed adoption is one flat-buffer copy, no per-row re-keying.
+    b.migrate_meter.Add(Op::kMigrateResultRow, seed->NumRows());
+    b.migrate_meter.Add(Op::kTempTableTuple, seed->NumRows());
+  } else if (plan.try_view) {
     std::optional<relstore::MaterializedViewManager::Answer> ans =
-        views_->TryAnswer(bound_qc.patterns, &b.rel_meter);
+        views_->TryAnswer(b.split.complex->patterns, &b.rel_meter);
     if (ans.has_value()) {
       b.route = Route::kViewAssisted;
-      if (!plan.has_remainder) {
-        // Project() semantics: silently drop projected variables the view
-        // cannot bind (the materialized path does the same).
-        DSKG_RETURN_NOT_OK(
-            adopt_joined(std::move(ans->bindings), plan.out_vars, true));
-        return cursor;
-      }
-      const std::vector<TermId> local =
-          MapParams(plan.remainder_param_map, param_values);
-      DSKG_ASSIGN_OR_RETURN(
-          BindingTable joined,
-          executor_->ExecuteCompiledJoined(
-              plan.remainder, local.empty() ? nullptr : local.data(),
-              &ans->bindings, &b.rel_meter));
-      DSKG_RETURN_NOT_OK(
-          adopt_joined(std::move(joined), plan.remainder.out_vars, false));
-      return cursor;
+      seed = std::move(ans->bindings);
     }
   }
 
-  // ---- Case 3: relational store ------------------------------------------
-  b.route = Route::kRelationalOnly;
-  const std::vector<TermId> local = MapParams(plan.rel_param_map,
-                                              param_values);
-  DSKG_ASSIGN_OR_RETURN(
-      BindingTable joined,
-      executor_->ExecuteCompiledJoined(plan.rel,
-                                       local.empty() ? nullptr : local.data(),
-                                       nullptr, &b.rel_meter));
-  DSKG_RETURN_NOT_OK(adopt_joined(std::move(joined), plan.rel.out_vars,
-                                  false));
+  // ---- the relational store finishes (Case 3 runs the whole query) ------
+  BindingTable joined;
+  if (!seed.has_value()) {
+    DSKG_ASSIGN_OR_RETURN(joined, RunRelational(plan.rel, param_values,
+                                                nullptr, &b.rel_meter));
+  } else if (!plan.remainder.patterns.empty()) {
+    DSKG_ASSIGN_OR_RETURN(joined, RunRelational(plan.remainder, param_values,
+                                                &*seed, &b.rel_meter));
+  } else {
+    joined = std::move(*seed);  // the seed is the whole result
+  }
+  DSKG_ASSIGN_OR_RETURN(b.out_cols,
+                        Executor::OutputColumns(joined, plan.out_vars));
+  b.columns = plan.out_vars;
+  b.joined = std::move(joined);
   return cursor;
+}
+
+Result<QueryExecution> QueryProcessor::ExecutePlan(
+    const PreparedPlan& plan, const TermId* param_values) const {
+  auto& reg = telemetry::MetricsRegistry::Global();
+  const bool telem = reg.enabled();
+  const double start_us = telem ? reg.NowMicros() : 0;
+  DSKG_ASSIGN_OR_RETURN(ExecutionCursor cursor,
+                        OpenCursor(plan, param_values));
+  QueryExecution exec;
+  bool done = false;
+  DSKG_RETURN_NOT_OK(cursor.Next(
+      &exec.result, std::numeric_limits<size_t>::max(), &done));
+  exec.split = std::move(cursor.body_->split);
+  cursor.body_->Report(&exec);
+
+  const int ri = static_cast<int>(exec.route);
+  Qm().route_count[ri]->Add();
+  if (telem) {
+    const double wall = reg.NowMicros() - start_us;
+    Qm().wall_us[ri]->Record(wall);
+    Qm().sim_us[ri]->Record(exec.total_micros());
+    if (reg.traces().enabled()) {
+      reg.traces().Record("query.execute", start_us, wall);
+    }
+  }
+  return exec;
 }
 
 }  // namespace dskg::core

@@ -22,10 +22,10 @@
 /// `Prepare` runs everything that does not depend on bound parameter
 /// values — complex-subquery identification, route selection, dictionary
 /// encoding and slot compilation for every store the route touches — and
-/// returns a `PreparedPlan` that `ExecutePlan`/`OpenCursor` re-run any
-/// number of times with different `$parameter` bindings. `Process` is the
-/// classic one-shot composition of the two and behaves (and charges)
-/// exactly as before the split.
+/// returns a `PreparedPlan` that `OpenCursor` runs any number of times
+/// with different `$parameter` bindings. `OpenCursor` holds the only
+/// route dispatch; `ExecutePlan` is a cursor drained whole, so the
+/// materialized and streaming paths cannot diverge in rows or charges.
 ///
 /// A plan is valid only against the physical state it was prepared for
 /// (graph residency, view catalog, dictionary contents); `DualStore::
@@ -91,13 +91,13 @@ struct PreparedPlan {
   /// The split of the (possibly parameterized) query.
   IdentifiedQuery split;
   /// Distinct `$parameter` names in first-appearance order; the
-  /// `param_values` arrays passed to ExecutePlan/OpenCursor align with it.
+  /// `param_values` arrays passed to ExecutePlan/OpenCursor align with it,
+  /// and so do the `$param` sites of every compiled artifact below.
   std::vector<std::string> params;
 
   /// The route selected at prepare time. `kViewAssisted` is never planned
   /// directly — `try_view` marks plans that probe the view catalog per
-  /// execution and fall back to `kRelationalOnly` on a miss, exactly as
-  /// the one-shot processor does.
+  /// execution and fall back to `kRelationalOnly` on a miss.
   Route route = Route::kRelationalOnly;
   bool try_view = false;
 
@@ -107,16 +107,8 @@ struct PreparedPlan {
   /// Compiled artifacts; only the ones the route needs are populated.
   relstore::Executor::CompiledQuery rel;        // Case 3 / view fallback
   relstore::Executor::CompiledQuery remainder;  // Case 2 / view remainder
-  bool has_remainder = false;
   graphstore::TraversalMatcher::Plan graph_whole;    // Case 1
   graphstore::TraversalMatcher::Plan graph_complex;  // Case 2 q_c
-
-  /// Parameter index mapping from each artifact's local parameter order
-  /// to `params` (artifacts see only the parameters in their patterns).
-  std::vector<size_t> rel_param_map;
-  std::vector<size_t> remainder_param_map;
-  std::vector<size_t> graph_whole_param_map;
-  std::vector<size_t> graph_complex_param_map;
 
   /// `$param` occurrences in the split's ASTs, so executions can
   /// materialize the bound split (tuners train on it) and the view path
@@ -151,9 +143,13 @@ class ExecutionCursor {
 
   /// Replaces `*chunk` with the next `max_rows` (or fewer) result rows.
   /// `*done` turns true once the result set is exhausted (a call after
-  /// that yields an empty chunk). Graph-route cursors charge traversal
-  /// cost as they advance; a fully drained cursor has charged exactly
-  /// what `ExecutePlan` charges.
+  /// that yields an empty chunk). `max_rows` = 0 is InvalidArgument.
+  /// Graph-route cursors charge traversal cost as they advance; a fully
+  /// drained cursor has charged exactly what `ExecutePlan` charges.
+  /// `max_rows` = SIZE_MAX drains the rest at once: on a graph-route
+  /// cursor nothing was pulled from yet, that drain is sharded over the
+  /// processor's execution pool (same rows in the same order, same
+  /// charges); smaller pulls always traverse serially.
   Status Next(sparql::BindingTable* chunk, size_t max_rows, bool* done);
 
   /// Output column names of every chunk.
@@ -182,12 +178,12 @@ class QueryProcessor {
     bool use_views = false;
     /// Contention applied to graph-store execution (Table 6 / Figure 7).
     ResourceThrottle graph_throttle;
-    /// Pool for sharded graph traversal (borrowed, not owned; null =
-    /// serial). Sharded and serial traversal produce bit-identical rows
-    /// and charges, so this is purely a wall-clock knob.
+    /// Pool for sharded graph traversal, one shard per worker (borrowed,
+    /// not owned; null = serial). Sharded and serial traversal produce
+    /// bit-identical rows and charges, so this is purely a wall-clock
+    /// knob. Relational runs stay serial: sharded relational charges
+    /// differ from serial ones by design.
     ThreadPool* exec_pool = nullptr;
-    /// Max traversal shards per query (<= 0: the pool's size).
-    int max_traversal_shards = 0;
   };
 
   /// All pointers are borrowed and must outlive the processor. `views`
@@ -204,21 +200,20 @@ class QueryProcessor {
   /// compilation — everything reusable across executions.
   Result<PreparedPlan> Prepare(const sparql::Query& query) const;
 
-  /// Executes a prepared plan with `param_values` bound (one id per entry
-  /// of `plan.params`; null allowed when the plan has none). Results and
-  /// simulated charges are identical to `Process` on the equivalent bound
-  /// query. An unbound or invalid parameter fails with
-  /// FailedPrecondition.
-  Result<QueryExecution> ExecutePlan(const PreparedPlan& plan,
-                                     const rdf::TermId* param_values) const;
-
-  /// Streaming variant of `ExecutePlan`; see `ExecutionCursor`.
+  /// Execution-time half of Algorithm 3: opens a cursor over `plan` with
+  /// `param_values` bound (one id per entry of `plan.params`; null allowed
+  /// when the plan has none). Relational work — Case 3, the remainder of
+  /// Case 2 or of a view hit — and Case 2's graph half run here; a Case 1
+  /// traversal runs as the cursor is pulled. An unbound or invalid
+  /// parameter fails with FailedPrecondition. See `ExecutionCursor`.
   Result<ExecutionCursor> OpenCursor(const PreparedPlan& plan,
                                      const rdf::TermId* param_values) const;
 
-  /// Processes `query` end to end per Algorithm 3 (`Prepare` +
-  /// `ExecutePlan`, kept as the one-shot convenience).
-  Result<QueryExecution> Process(const sparql::Query& query) const;
+  /// `OpenCursor` drained whole into one table, plus the per-route
+  /// telemetry (`query.route.*`, `query.wall_us.<route>`,
+  /// `query.sim_us.<route>`, the `query.execute` span).
+  Result<QueryExecution> ExecutePlan(const PreparedPlan& plan,
+                                     const rdf::TermId* param_values) const;
 
   const Config& config() const { return config_; }
   void set_graph_throttle(ResourceThrottle t) { config_.graph_throttle = t; }
@@ -235,17 +230,12 @@ class QueryProcessor {
   IdentifiedQuery BindSplit(const PreparedPlan& plan,
                             const rdf::TermId* param_values) const;
 
-  /// Drains one compiled traversal into a table (shared by the
-  /// materialized and streaming paths so they can never diverge).
-  Result<sparql::BindingTable> MatchAll(
-      const graphstore::TraversalMatcher::Plan& plan,
-      const std::vector<size_t>& map, const rdf::TermId* param_values,
+  /// Runs one compiled relational artifact (its last join intermediate;
+  /// see `Executor::Execute`) and records the `rel.exec_*_us` pair.
+  Result<sparql::BindingTable> RunRelational(
+      const relstore::Executor::CompiledQuery& cq,
+      const rdf::TermId* param_values, const sparql::BindingTable* seed,
       CostMeter* meter) const;
-
-  /// Gathers an artifact's local parameter values from the plan-level
-  /// array via its index map.
-  static std::vector<rdf::TermId> MapParams(
-      const std::vector<size_t>& map, const rdf::TermId* param_values);
 
   const relstore::Executor* executor_;
   const graphstore::PropertyGraph* graph_;

@@ -40,7 +40,8 @@
 /// (FailedPrecondition) — no path silently yields an empty table.
 ///
 /// Threading: `Session` itself is thread-safe — the plan cache is
-/// shared under a mutex taken per `Prepare`, stats counters are atomics,
+/// shared under a mutex taken per `Prepare`, stats counters are this
+/// session's own cells in the telemetry registry's `session.*` counters,
 /// and concurrent executions only touch a per-entry mutex for a pointer
 /// compare/swap before running lock-free. A `PreparedQuery` or `Cursor`
 /// instance is a single-thread object — create one per worker (they
@@ -117,7 +118,8 @@ struct Snapshot {
 class Cursor {
  public:
   /// Replaces `*chunk` with the next `max_rows` (or fewer) rows; `*done`
-  /// turns true once the result set is exhausted. Graph-route cursors
+  /// turns true once the result set is exhausted. `max_rows` = 0 is
+  /// InvalidArgument. Graph-route cursors
   /// traverse incrementally — abandoning the cursor early really does
   /// skip the remaining work. Each pull re-installs the cursor's pinned
   /// snapshot, so the traversal keeps reading the state it started on no

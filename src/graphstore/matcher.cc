@@ -188,66 +188,55 @@ Result<TraversalMatcher::Cursor> TraversalMatcher::OpenCursor(
 Result<BindingTable> TraversalMatcher::Match(const sparql::Query& query,
                                              CostMeter* meter) const {
   DSKG_ASSIGN_OR_RETURN(Plan plan, Compile(query));
-  if (!plan.param_names.empty()) {
-    return Status::FailedPrecondition(
-        "query has unbound parameters; prepare and bind it instead");
-  }
-  return DrainSerial(plan, nullptr, meter);
+  DSKG_ASSIGN_OR_RETURN(Cursor cursor, OpenCursor(plan, nullptr, meter));
+  return Drain(&cursor);
 }
 
-Result<BindingTable> TraversalMatcher::DrainSerial(
-    const Plan& plan, const TermId* param_values, CostMeter* meter) const {
-  DSKG_ASSIGN_OR_RETURN(Cursor cursor, OpenCursor(plan, param_values, meter));
+Result<BindingTable> TraversalMatcher::Drain(Cursor* cursor,
+                                             ThreadPool* pool) const {
+  CostMeter* meter = cursor->meter_;
   BindingTable out;
-  out.columns = plan.out_vars;
-  bool done = false;
-  DSKG_RETURN_NOT_OK(
-      cursor.Fill(&out, std::numeric_limits<size_t>::max(), &done));
-  return out;
-}
-
-Result<BindingTable> TraversalMatcher::MatchSharded(
-    const Plan& plan, const TermId* param_values, CostMeter* meter,
-    ThreadPool* pool, int max_shards) const {
-  if (max_shards <= 0 && pool != nullptr) {
-    max_shards = static_cast<int>(pool->size());
-  }
-  // Budgeted traversal cancels cooperatively against one running total — a
-  // serial protocol, so budgeted plans always take the serial drain.
-  if (pool == nullptr || max_shards <= 1 || plan.impossible ||
-      meter->budget_micros() > 0.0) {
-    return DrainSerial(plan, param_values, meter);
-  }
-
-  // Peek the first pattern's candidate range without charging: the root
-  // endpoints are constants or params, so resolution needs no DFS state.
-  DSKG_ASSIGN_OR_RETURN(Cursor proto, OpenCursor(plan, param_values, meter));
-  const EncPat& p0 = proto.patterns_[0];
-  const bool s_bound = !p0.subject.is_variable;
-  const bool o_bound = !p0.object.is_variable;
+  out.columns = cursor->out_vars_;
+  // Only an unread cursor can be split: its DFS has not entered the root
+  // frame yet. Budgeted traversal cancels cooperatively against one
+  // running total — a serial protocol, so budgeted cursors drain serially.
+  const bool unread = cursor->stack_.empty() && cursor->descend_ &&
+                      !cursor->finished_ && cursor->status_.ok();
+  size_t num_shards = 0;
+  size_t count = 0;
   Cursor::Frame root;
-  if (s_bound) {
-    root.mode = Cursor::Frame::kOut;
-    root.nbrs = graph_->OutNeighbors(p0.subject.constant, p0.predicate);
-    root.has_o = o_bound;
-    root.o_val = p0.object.constant;
-  } else if (o_bound) {
-    root.mode = Cursor::Frame::kIn;
-    root.nbrs = graph_->InNeighbors(p0.object.constant, p0.predicate);
-  } else {
-    root.mode = Cursor::Frame::kEdges;
-    root.edges = &graph_->Edges(p0.predicate);
+  if (pool != nullptr && pool->size() > 1 && unread &&
+      meter->budget_micros() <= 0.0) {
+    // Peek the first pattern's candidate range without charging: the root
+    // endpoints are constants or params, so resolution needs no DFS state.
+    const EncPat& p0 = cursor->patterns_[0];
+    if (!p0.subject.is_variable) {
+      root.mode = Cursor::Frame::kOut;
+      root.nbrs = graph_->OutNeighbors(p0.subject.constant, p0.predicate);
+      root.has_o = !p0.object.is_variable;
+      root.o_val = p0.object.constant;
+    } else if (!p0.object.is_variable) {
+      root.mode = Cursor::Frame::kIn;
+      root.nbrs = graph_->InNeighbors(p0.object.constant, p0.predicate);
+    } else {
+      root.mode = Cursor::Frame::kEdges;
+      root.edges = &graph_->Edges(p0.predicate);
+    }
+    count = root.mode == Cursor::Frame::kEdges
+                ? root.edges->size()
+                : (root.nbrs == nullptr ? 0 : root.nbrs->size());
+    num_shards = std::min(pool->size(), count);
   }
-  const size_t count = root.mode == Cursor::Frame::kEdges
-                           ? root.edges->size()
-                           : (root.nbrs == nullptr ? 0 : root.nbrs->size());
-  const size_t num_shards =
-      std::min<size_t>(static_cast<size_t>(max_shards), count);
-  if (num_shards <= 1) return DrainSerial(plan, param_values, meter);
+  if (num_shards <= 1) {
+    bool done = false;
+    DSKG_RETURN_NOT_OK(
+        cursor->Fill(&out, std::numeric_limits<size_t>::max(), &done));
+    return out;
+  }
 
-  // From here on this call owns the serial path's charges: replicate the
-  // root descent's node lookup exactly once on the caller's meter.
-  if (s_bound || o_bound) meter->Add(Op::kNodeLookup);
+  // From here on this call owns the serial drain's charges: replicate the
+  // root descent's node lookup exactly once on the cursor's meter.
+  if (root.mode != Cursor::Frame::kEdges) meter->Add(Op::kNodeLookup);
 
   struct ShardOutcome {
     Status status;
@@ -265,33 +254,27 @@ Result<BindingTable> TraversalMatcher::MatchSharded(
     ShardOutcome& out = outcomes[s];
     PropertyGraph::ReadScope read_scope(snapshot);
     out.meter = CostMeter(meter->model(), meter->throttle());
-    Cursor c;
-    c.graph_ = graph_;
+    Cursor c = *cursor;
     c.meter_ = &out.meter;
-    c.patterns_ = proto.patterns_;
-    c.out_vars_ = proto.out_vars_;
-    c.out_slots_ = proto.out_slots_;
-    c.slots_ = proto.slots_;
     c.trail_.reserve(c.slots_.size());
     Cursor::Frame f = root;
     f.idx = s * base + std::min(s, extra);
     f.end_idx = (s + 1) * base + std::min(s + 1, extra);
     c.stack_.push_back(f);
     c.descend_ = false;  // resume mid-frame at the shard's first candidate
-    out.table.columns = proto.out_vars_;
+    out.table.columns = c.out_vars_;
     bool done = false;
     out.status =
         c.Fill(&out.table, std::numeric_limits<size_t>::max(), &done);
   });
 
-  BindingTable merged;
-  merged.columns = plan.out_vars;
-  for (ShardOutcome& out : outcomes) {
-    DSKG_RETURN_NOT_OK(out.status);
-    meter->Merge(out.meter);
-    merged.AppendRowsFrom(out.table);
+  cursor->finished_ = true;
+  for (ShardOutcome& shard : outcomes) {
+    if (!shard.status.ok()) return cursor->Fail(shard.status);
+    meter->Merge(shard.meter);
+    out.AppendRowsFrom(shard.table);
   }
-  return merged;
+  return out;
 }
 
 // ---- the resumable DFS ------------------------------------------------------
@@ -347,7 +330,7 @@ Status TraversalMatcher::Cursor::Fail(Status s) {
 /// The recursive backtracking search of the original matcher, run as an
 /// explicit-stack machine so it can suspend between emitted rows. Charge
 /// points and budget checks sit exactly where the recursion had them, so
-/// a drained cursor's meter is bit-identical to the one-shot path's.
+/// a drained cursor's meter is bit-identical to the recursive search's.
 Status TraversalMatcher::Cursor::Fill(BindingTable* out, size_t max_rows,
                                       bool* done) {
   *done = false;

@@ -22,8 +22,10 @@
 /// sites) once; `OpenCursor` runs it as a *resumable* DFS that emits
 /// result rows in pull-sized chunks — the traversal suspends mid-search
 /// with its explicit stack intact, so a caller consuming a few rows never
-/// pays for (or stores) the rest. `Match` composes the two into the
-/// classic materialize-everything call.
+/// pays for (or stores) the rest. `Drain` pulls every remaining row of a
+/// cursor at once, splitting an unread traversal across a thread pool
+/// when one is given. `Match` composes the three into the classic
+/// materialize-everything call.
 ///
 /// The matcher can only answer queries whose constant predicates are all
 /// resident in the graph store; the dual-store query processor is
@@ -109,7 +111,7 @@ class TraversalMatcher {
     /// to `*out` (whose columns must already be the plan's `out_vars`) or
     /// the search space is exhausted (`*done` = true). Cost is charged to
     /// the meter as the search advances, so a drained cursor has charged
-    /// exactly what `Match` charges. Returns Cancelled when the meter's
+    /// exactly what `Drain` charges. Returns Cancelled when the meter's
     /// budget runs out; errors are sticky.
     Status Fill(sparql::BindingTable* out, size_t max_rows, bool* done);
 
@@ -127,7 +129,7 @@ class TraversalMatcher {
           nullptr;  // kEdges
       size_t idx = 0;
       /// Exclusive candidate bound for sharded root frames; untouched
-      /// (no-op clamp) on the serial path.
+      /// (no-op clamp) on the serial drain.
       size_t end_idx = static_cast<size_t>(-1);
       bool has_o = false;            // kOut: object already resolved
       rdf::TermId o_val = rdf::kInvalidTermId;
@@ -163,39 +165,35 @@ class TraversalMatcher {
                             const rdf::TermId* param_values,
                             CostMeter* meter) const;
 
-  /// Evaluates `query` and returns its projected bindings — `Compile` +
-  /// a fully drained cursor. Fails with FailedPrecondition if the query
+  /// Pulls every remaining row of `cursor` into one table, charging the
+  /// meter the cursor was opened with.
+  ///
+  /// With a `pool`, a cursor no row has been pulled from yet is drained
+  /// in shards: the first pattern's candidate range splits into one
+  /// contiguous sub-range per pool worker, and each shard runs a clone of
+  /// the cursor whose root frame covers only its sub-range, with its own
+  /// `CostMeter`. Shard tables and meters merge in ascending range order,
+  /// so rows arrive in exactly the serial DFS order and (with the
+  /// integer-picosecond meter) every charge component is bit-identical to
+  /// the serial drain at every thread count. Shard tasks re-install the
+  /// calling thread's `PropertyGraph` read snapshot, so sharding is safe
+  /// under `DualStore::SnapshotScope`.
+  ///
+  /// The drain is serial when `pool` is null, the cursor was already
+  /// pulled, the range is too small to split, or the meter carries a
+  /// budget (budgeted traversal cancels cooperatively mid-search — a
+  /// serial protocol). The cursor is exhausted afterwards.
+  Result<sparql::BindingTable> Drain(Cursor* cursor,
+                                     ThreadPool* pool = nullptr) const;
+
+  /// Evaluates `query` and returns its projected bindings — `Compile`,
+  /// `OpenCursor`, `Drain`. Fails with FailedPrecondition if the query
   /// contains `$parameters` (prepare and bind it instead).
   /// Returns Cancelled if the meter's budget is exhausted.
   Result<sparql::BindingTable> Match(const sparql::Query& query,
                                      CostMeter* meter) const;
 
-  /// Drains `plan` with the first pattern's candidate range split into up
-  /// to `max_shards` contiguous shards run on `pool`. Each shard gets a
-  /// clone of the DFS cursor whose root frame covers only its candidate
-  /// sub-range plus its own `CostMeter`; shard tables and meters are
-  /// merged in ascending range order, so rows arrive in exactly the
-  /// serial DFS order and (with the integer-picosecond meter) every
-  /// charge component is bit-identical to the serial drain at every
-  /// thread count. Shard tasks re-install the calling thread's
-  /// `PropertyGraph` read snapshot, so sharding is safe under
-  /// `DualStore::SnapshotScope`.
-  ///
-  /// Falls back to the serial drain when `pool` is null, the range is too
-  /// small to split, or the meter carries a budget (budgeted traversal
-  /// cancels cooperatively mid-search — a serial protocol).
-  Result<sparql::BindingTable> MatchSharded(const Plan& plan,
-                                            const rdf::TermId* param_values,
-                                            CostMeter* meter,
-                                            ThreadPool* pool,
-                                            int max_shards) const;
-
  private:
-  /// `OpenCursor` + one exhaustive `Fill` (the serial drain).
-  Result<sparql::BindingTable> DrainSerial(const Plan& plan,
-                                           const rdf::TermId* param_values,
-                                           CostMeter* meter) const;
-
   const PropertyGraph* graph_;
   const rdf::Dictionary* dict_;
 };

@@ -111,7 +111,7 @@ uint64_t EstimateWithBoundVars(
 }
 
 /// Index of the pattern with the smallest estimated constant extent —
-/// the serial and sharded paths' common choice of initial pattern.
+/// the serial and sharded runs' common choice of initial pattern.
 size_t SmallestExtentPattern(
     const TripleTable& table,
     const std::vector<Executor::EncodedPattern>& patterns) {
@@ -272,51 +272,69 @@ Status PatchParams(const Executor::CompiledQuery& cq,
 
 Result<BindingTable> Executor::Execute(const sparql::Query& query,
                                        CostMeter* meter) const {
-  return Run(query, nullptr, meter);
+  const CompiledQuery cq = Compile(query);
+  DSKG_ASSIGN_OR_RETURN(BindingTable joined,
+                        Execute(cq, nullptr, nullptr, meter));
+  return Project(joined, cq.out_vars);
 }
 
-Result<BindingTable> Executor::ExecuteWithSeed(const sparql::Query& query,
-                                               const BindingTable& seed,
-                                               CostMeter* meter) const {
-  return Run(query, &seed, meter);
-}
-
-Result<BindingTable> Executor::ExecuteSharded(const sparql::Query& query,
-                                              CostMeter* meter,
-                                              ThreadPool* pool,
-                                              int max_shards) const {
-  if (query.patterns.empty()) {
+Result<BindingTable> Executor::Execute(const CompiledQuery& cq,
+                                       const TermId* param_values,
+                                       const BindingTable* seed,
+                                       CostMeter* meter,
+                                       ThreadPool* pool) const {
+  if (cq.patterns.empty()) {
     return Status::InvalidArgument("query has no patterns");
   }
-  if (pool == nullptr) return Run(query, nullptr, meter);
-  if (max_shards <= 0) max_shards = static_cast<int>(pool->size());
-  // Budgeted runs use cooperative cancellation, a serial protocol.
-  if (max_shards <= 1 || meter->budget_micros() > 0.0) {
-    return Run(query, nullptr, meter);
-  }
 
-  // ---- encode and plan (exactly as the serial path does) ----------------
-  CompiledQuery eq = Compile(query);
-  if (!eq.param_sites.empty()) {
-    return Status::FailedPrecondition(
-        "query has unbound parameters; prepare and bind it instead");
-  }
-  std::vector<EncodedPattern>& patterns = eq.patterns;
-  const std::vector<std::string>& out_vars = eq.out_vars;
-  if (eq.impossible) {
+  // ---- clone the plan, patch parameter sites ----------------------------
+  std::vector<EncodedPattern> patterns;
+  DSKG_RETURN_NOT_OK(PatchParams(cq, param_values, &patterns));
+
+  if (cq.impossible) {
+    // A constant that is not in the dictionary matches nothing.
     BindingTable empty;
-    empty.columns = out_vars;
+    empty.columns = cq.out_vars;
     return empty;
   }
-  const size_t first = SmallestExtentPattern(*table_, patterns);
-  const std::vector<TripleTable::PatternShard> shards =
-      table_->ShardPattern(patterns[first].ConstantExtent(), max_shards);
-  if (shards.size() <= 1) {
-    // Nothing matches or the range fits one leaf run: serial is both
-    // correct and cheapest (no extra descents).
-    return Run(query, nullptr, meter);
+
+  // ---- initial relation -------------------------------------------------
+  BindingTable cur;
+  std::unordered_set<std::string> bound;
+  if (seed != nullptr) {
+    // Migrated intermediate results arrive as a columnar table already;
+    // adopting them is one buffer copy, no per-row re-keying.
+    cur = *seed;
+    for (const std::string& c : cur.columns) bound.insert(c);
+    // Reading the seed out of the temporary table space.
+    meter->Add(Op::kSeqScanTuple, cur.NumRows());
+    DSKG_RETURN_NOT_OK(JoinRemaining(&patterns, &cur, &bound, 0, meter));
+    return cur;
   }
+
+  // Start from the pattern with the smallest estimated extent.
+  const size_t first = SmallestExtentPattern(*table_, patterns);
   patterns[first].used = true;
+  const EncodedPattern& p = patterns[first];
+  cur.columns = p.Vars();
+  for (const std::string& v : cur.columns) bound.insert(v);
+  // Budgeted runs use cooperative cancellation, a serial protocol.
+  std::vector<TripleTable::PatternShard> shards;
+  if (pool != nullptr && pool->size() > 1 && meter->budget_micros() <= 0.0) {
+    shards = table_->ShardPattern(p.ConstantExtent(),
+                                  static_cast<int>(pool->size()));
+  }
+  if (shards.size() <= 1) {
+    // Serial (also when nothing matches or the range fits one leaf run:
+    // serial is both correct and cheapest, no extra descents).
+    DSKG_RETURN_NOT_OK(table_->ScanPattern(p.ConstantExtent(), meter,
+                                           MaterializeInto(p, &cur, meter)));
+    if (meter->ExceededBudget()) {
+      return Status::Cancelled("relational execution exceeded cost budget");
+    }
+    DSKG_RETURN_NOT_OK(JoinRemaining(&patterns, &cur, &bound, 1, meter));
+    return cur;
+  }
 
   // ---- run every shard's scan + remaining joins concurrently ------------
   struct ShardOutcome {
@@ -330,18 +348,13 @@ Result<BindingTable> Executor::ExecuteSharded(const sparql::Query& query,
     ShardOutcome& out = outcomes[i];
     out.meter = CostMeter(meter->model(), meter->throttle());
     std::vector<EncodedPattern> local = patterns;  // own used-flags
-    const EncodedPattern& p = local[first];
-    BindingTable cur;
-    cur.columns = p.Vars();
-    std::unordered_set<std::string> bound(cur.columns.begin(),
-                                          cur.columns.end());
+    std::unordered_set<std::string> local_bound = bound;
+    out.table.columns = cur.columns;
     out.status = table_->ScanShard(shards[i], p.ConstantExtent(), &out.meter,
-                                   MaterializeInto(p, &cur, &out.meter));
+                                   MaterializeInto(p, &out.table, &out.meter));
     if (!out.status.ok()) return;
-    out.status = JoinRemaining(&local, &cur, &bound, 1, &out.meter,
-                               &shared_joins);
-    if (!out.status.ok()) return;
-    out.table = cur.Project(out_vars);
+    out.status = JoinRemaining(&local, &out.table, &local_bound, 1,
+                               &out.meter, &shared_joins);
   });
 
   // ---- merge in ascending shard order (deterministic) -------------------
@@ -352,98 +365,47 @@ Result<BindingTable> Executor::ExecuteSharded(const sparql::Query& query,
     DSKG_RETURN_NOT_OK(entry.status);
     meter->Merge(entry.build_meter);
   }
+  // The join order depends on plan-time estimates only, so every shard
+  // that ran all joins has the same header; a shard cut short by an empty
+  // intermediate has fewer columns and no rows, and adds none.
   BindingTable merged;
-  merged.columns = out_vars;
+  bool header_set = false;
   for (ShardOutcome& out : outcomes) {
     DSKG_RETURN_NOT_OK(out.status);
     meter->Merge(out.meter);
-    if (out.table.columns.size() != out_vars.size()) {
-      if (!out.table.empty()) {
-        return Status::Internal("projection lost columns unexpectedly");
-      }
-      continue;  // empty shard cut short by an empty intermediate
+    if (out.table.empty()) continue;
+    if (!header_set) {
+      merged.columns = out.table.columns;
+      header_set = true;
+    } else if (out.table.columns != merged.columns) {
+      return Status::Internal("shards disagree on the join header");
     }
     merged.AppendRowsFrom(out.table);
   }
   return merged;
 }
 
-Result<BindingTable> Executor::Run(const sparql::Query& query,
-                                   const BindingTable* seed,
-                                   CostMeter* meter) const {
-  return ExecuteCompiled(Compile(query), nullptr, seed, meter);
-}
-
-Result<BindingTable> Executor::ExecuteCompiledJoined(
-    const CompiledQuery& cq, const TermId* param_values,
-    const BindingTable* seed, CostMeter* meter) const {
-  const std::vector<std::string>& out_vars = cq.out_vars;
-  if (cq.patterns.empty()) {
-    return Status::InvalidArgument("query has no patterns");
-  }
-
-  // ---- clone the plan, patch parameter sites ----------------------------
-  std::vector<EncodedPattern> patterns;
-  DSKG_RETURN_NOT_OK(PatchParams(cq, param_values, &patterns));
-
-  if (cq.impossible) {
-    // A constant that is not in the dictionary matches nothing.
-    BindingTable empty;
-    empty.columns = out_vars;
-    return empty;
-  }
-
-  // ---- initial relation -------------------------------------------------
-  BindingTable cur;
-  std::unordered_set<std::string> bound;
-  size_t num_joined = 0;
-
-  if (seed != nullptr) {
-    // Migrated intermediate results arrive as a columnar table already;
-    // adopting them is one buffer copy, no per-row re-keying.
-    cur = *seed;
-    for (const std::string& c : cur.columns) bound.insert(c);
-    // Reading the seed out of the temporary table space.
-    meter->Add(Op::kSeqScanTuple, cur.NumRows());
-  } else {
-    // Start from the pattern with the smallest estimated extent.
-    EncodedPattern& p = patterns[SmallestExtentPattern(*table_, patterns)];
-    p.used = true;
-    ++num_joined;
-    cur.columns = p.Vars();
-    for (const std::string& v : cur.columns) bound.insert(v);
-    Status scan = table_->ScanPattern(p.ConstantExtent(), meter,
-                                      MaterializeInto(p, &cur, meter));
-    DSKG_RETURN_NOT_OK(scan);
-    if (meter->ExceededBudget()) {
-      return Status::Cancelled("relational execution exceeded cost budget");
-    }
-  }
-
-  DSKG_RETURN_NOT_OK(JoinRemaining(&patterns, &cur, &bound, num_joined,
-                                   meter));
-  return cur;
-}
-
-Result<BindingTable> Executor::ExecuteCompiled(
-    const CompiledQuery& cq, const TermId* param_values,
-    const BindingTable* seed, CostMeter* meter) const {
-  DSKG_ASSIGN_OR_RETURN(
-      BindingTable cur,
-      ExecuteCompiledJoined(cq, param_values, seed, meter));
-
-  // ---- projection --------------------------------------------------------
-  BindingTable out = cur.Project(cq.out_vars);
-  // Projected-away columns may leave missing columns if joins were cut
-  // short by an empty intermediate; normalize the header.
-  if (out.columns.size() != cq.out_vars.size()) {
-    BindingTable normalized;
-    normalized.columns = cq.out_vars;
-    if (!cur.empty()) {
+Result<std::vector<int>> Executor::OutputColumns(
+    const BindingTable& joined, const std::vector<std::string>& out_vars) {
+  std::vector<int> cols;
+  cols.reserve(out_vars.size());
+  for (const std::string& v : out_vars) {
+    const int c = joined.ColumnIndex(v);
+    if (c < 0 && !joined.empty()) {
       return Status::Internal("projection lost columns unexpectedly");
     }
-    return normalized;
+    cols.push_back(c);
   }
+  return cols;
+}
+
+Result<BindingTable> Executor::Project(
+    const BindingTable& joined, const std::vector<std::string>& out_vars) {
+  DSKG_ASSIGN_OR_RETURN(std::vector<int> cols,
+                        OutputColumns(joined, out_vars));
+  BindingTable out;
+  out.columns = out_vars;
+  out.AppendRowsFrom(joined, cols, 0, joined.NumRows());
   return out;
 }
 
@@ -558,10 +520,10 @@ Status Executor::JoinRemaining(std::vector<EncodedPattern>* patterns_ptr,
       // ---- hash join: scan the extent once, probe with outer rows ----
       // The build side depends only on the pattern's constant extent and
       // the plan-time variable split, so `build` is the same work whoever
-      // runs it. Serial path: build locally, charging `meter`. Sharded
-      // path: the first shard choosing a hash join on this pattern builds
+      // runs it. Serial run: build locally, charging `meter`. Sharded
+      // run: the first shard choosing a hash join on this pattern builds
       // into the shared entry (cost on the entry's meter, folded in once
-      // by ExecuteSharded); everyone else probes it read-only,
+      // by `Execute`'s merge); everyone else probes it read-only,
       // eliminating the per-shard duplicate extent scans +
       // kHashBuildTuple charges.
       auto build = [&](JoinBuild* jb, CostMeter* build_meter) -> Status {

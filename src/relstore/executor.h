@@ -48,20 +48,12 @@ class Executor {
   Executor(const TripleTable* table, const rdf::Dictionary* dict)
       : table_(table), dict_(dict) {}
 
-  /// Evaluates `query` and returns its projected bindings.
-  /// Constants not present in the dictionary yield an empty result.
-  /// Returns Cancelled if the meter's cost budget is exhausted.
+  /// Evaluates `query` and returns its projected bindings: `Compile`, the
+  /// compiled `Execute`, then `Project`. Constants not present in the
+  /// dictionary yield an empty result. Returns Cancelled if the meter's
+  /// cost budget is exhausted.
   Result<sparql::BindingTable> Execute(const sparql::Query& query,
                                        CostMeter* meter) const;
-
-  /// Evaluates `query` starting from an existing binding table `seed`
-  /// (e.g. intermediate results migrated from the graph store, already
-  /// resident in the temporary table space). The seed's columns join
-  /// with the query's variables by name. Projection still follows
-  /// `query.select_vars`.
-  Result<sparql::BindingTable> ExecuteWithSeed(
-      const sparql::Query& query, const sparql::BindingTable& seed,
-      CostMeter* meter) const;
 
   /// One triple-pattern position after dictionary encoding. Plan state —
   /// produced once by `Compile`, read by every execution.
@@ -141,61 +133,68 @@ class Executor {
   /// constants mark the plan `impossible`, parameters become open sites.
   CompiledQuery Compile(const sparql::Query& query) const;
 
-  /// Executes a compiled query. `param_values` supplies one term id per
-  /// entry of `cq.param_names` (may be null when the query has no
-  /// parameters); a missing or invalid value fails with
-  /// FailedPrecondition — never a silently empty table.
-  Result<sparql::BindingTable> ExecuteCompiled(
-      const CompiledQuery& cq, const rdf::TermId* param_values,
-      const sparql::BindingTable* seed, CostMeter* meter) const;
-
-  /// Streaming variant of `ExecuteCompiled`: identical pipeline and cost
-  /// charges, but the final projection copy is skipped. The returned
-  /// table is the last join intermediate — its columns are a superset of
-  /// `cq.out_vars` whenever rows exist. Result cursors project chunk by
-  /// chunk from this instead of materializing a second full table.
-  Result<sparql::BindingTable> ExecuteCompiledJoined(
-      const CompiledQuery& cq, const rdf::TermId* param_values,
-      const sparql::BindingTable* seed, CostMeter* meter) const;
-
-  /// Sharded variant of `Execute`: splits the initial pattern's index
-  /// range into leaf-aligned shards (`TripleTable::ShardPattern`), runs
-  /// the scan *and all remaining joins* of each shard concurrently on
-  /// `pool`, and merges the per-shard binding tables and cost meters in
-  /// ascending shard order — so the result is deterministic regardless of
-  /// scheduling and its rows are the same multiset the serial path
-  /// produces. `max_shards` <= 0 means one shard per pool worker.
+  /// Runs a compiled query and returns its last join intermediate: every
+  /// variable the joins bound, a superset of `cq.out_vars` whenever rows
+  /// exist (`Project` applies the output projection; result cursors apply
+  /// it chunk by chunk instead of materializing a second full table).
   ///
-  /// Cost accounting is deterministic but not identical to the serial
-  /// plan: each shard charges its own `kIndexProbe` descent, and a shard
-  /// may pick a different join operator than the serial plan would for
-  /// its (smaller) outer relation — the usual price of a sharded plan.
-  /// Hash-join build sides, however, are *not* duplicated: the extent
-  /// hash table of a join step is built once (single extent scan, single
-  /// set of `kHashBuildTuple` charges) and probed read-only by every
-  /// shard that chooses a hash join for that step.
-  /// Falls back to the serial path when `meter` carries a cost budget
-  /// (cooperative cancellation is a serial protocol) or when the range
+  /// `param_values` supplies one term id per entry of `cq.param_names`
+  /// (may be null when the query has no parameters); a missing or invalid
+  /// value fails with FailedPrecondition — never a silently empty table.
+  ///
+  /// `seed` (may be null) replaces the initial scan with an existing
+  /// binding table, e.g. intermediate results migrated from the graph
+  /// store into the temporary table space. Its columns join with the
+  /// query's variables by name.
+  ///
+  /// `pool` (may be null) shards the run: the initial pattern's index
+  /// range splits into leaf-aligned shards (`TripleTable::ShardPattern`),
+  /// one per pool worker, and each shard runs its scan *and all remaining
+  /// joins* concurrently. Shard tables and cost meters merge in ascending
+  /// shard order, so the result is deterministic regardless of scheduling
+  /// and its rows are the same multiset the serial run produces. Cost
+  /// accounting is deterministic but not identical to the serial run:
+  /// each shard charges its own `kIndexProbe` descent, and a shard may
+  /// pick a different join operator for its (smaller) outer relation —
+  /// the usual price of a sharded plan. Hash-join build sides are *not*
+  /// duplicated: a join step's extent hash table is built once (one
+  /// extent scan, one set of `kHashBuildTuple` charges) and probed
+  /// read-only by every shard that chooses a hash join for that step.
+  /// The pool is ignored with a seed, when `meter` carries a cost budget
+  /// (cooperative cancellation is a serial protocol), or when the range
   /// does not split.
-  Result<sparql::BindingTable> ExecuteSharded(const sparql::Query& query,
-                                              CostMeter* meter,
-                                              ThreadPool* pool,
-                                              int max_shards = 0) const;
+  Result<sparql::BindingTable> Execute(const CompiledQuery& cq,
+                                       const rdf::TermId* param_values,
+                                       const sparql::BindingTable* seed,
+                                       CostMeter* meter,
+                                       ThreadPool* pool = nullptr) const;
 
-  /// Hash tables shared by the shards of one `ExecuteSharded` call: a
-  /// join step's extent hash table depends only on the pattern (never on
+  /// Column of each `out_vars` entry in `joined`, a table the compiled
+  /// `Execute` returned. Joins cut short by an empty intermediate may have
+  /// left a variable without a column: that is legal only when there are
+  /// no rows (its entry is -1, and the projected header is still the full
+  /// `out_vars`); with rows it is an Internal error. The one rule every
+  /// caller projecting an execution's output applies.
+  static Result<std::vector<int>> OutputColumns(
+      const sparql::BindingTable& joined,
+      const std::vector<std::string>& out_vars);
+
+  /// `joined` projected onto `out_vars` (header exactly `out_vars`)
+  /// through `OutputColumns`.
+  static Result<sparql::BindingTable> Project(
+      const sparql::BindingTable& joined,
+      const std::vector<std::string>& out_vars);
+
+  /// Hash tables shared by the shards of one sharded `Execute`: a join
+  /// step's extent hash table depends only on the pattern (never on
   /// shard-local rows), so the first shard to choose a hash join builds
   /// it — one extent scan, charged once — and every other shard probes it
   /// read-only. Defined in executor.cc.
   struct SharedJoinState;
 
  private:
-  Result<sparql::BindingTable> Run(const sparql::Query& query,
-                                   const sparql::BindingTable* seed,
-                                   CostMeter* meter) const;
-
   /// Greedily joins every unused pattern into `*cur`, charging `meter`.
-  /// Shared by the serial path and each shard of the sharded path. When
+  /// Shared by the serial run and each shard of a sharded run. When
   /// `shared` is non-null (sharded path), hash-join builds go through it:
   /// built once per pattern, probed by all shards, build cost charged to
   /// the shared entry's meter instead of `meter` (the caller folds those

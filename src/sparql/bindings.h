@@ -134,32 +134,24 @@ struct BindingTable {
     num_rows_ += other.num_rows_;
   }
 
+  /// Appends rows `[begin, end)` of `src`, each restricted to the source
+  /// columns `cols` (one per column of this table, in order) — the
+  /// projection copy.
+  void AppendRowsFrom(const BindingTable& src, const std::vector<int>& cols,
+                      size_t begin, size_t end) {
+    assert(cols.size() == columns.size());
+    data_.reserve(data_.size() + (end - begin) * cols.size());
+    for (size_t r = begin; r < end; ++r) {
+      const rdf::TermId* row = src.RowData(r);
+      for (const int c : cols) data_.push_back(row[c]);
+    }
+    num_rows_ += end - begin;
+  }
+
   /// Drops all rows, keeping the header.
   void ClearRows() {
     data_.clear();
     num_rows_ = 0;
-  }
-
-  /// Returns a copy restricted to `vars` (in the given order). Variables
-  /// not present are skipped. Duplicate rows are preserved.
-  BindingTable Project(const std::vector<std::string>& vars) const {
-    BindingTable out;
-    std::vector<size_t> idx;
-    for (const std::string& v : vars) {
-      const int i = ColumnIndex(v);
-      if (i >= 0) {
-        out.columns.push_back(v);
-        idx.push_back(static_cast<size_t>(i));
-      }
-    }
-    out.data_.reserve(num_rows_ * idx.size());
-    const size_t stride = columns.size();
-    for (size_t r = 0; r < num_rows_; ++r) {
-      const rdf::TermId* row = data_.data() + r * stride;
-      for (size_t i : idx) out.data_.push_back(row[i]);
-    }
-    out.num_rows_ = num_rows_;
-    return out;
   }
 
   /// Sorts rows lexicographically — canonical form for test comparisons.

@@ -49,7 +49,7 @@ rdf::Dataset MakeCorpus(int which) {
 /// Splits `q`'s patterns into a seed prefix and a remainder, evaluates
 /// the prefix with the executor (SELECT *), and runs the remainder from
 /// that seed. Equivalent to evaluating the whole query — the dual-store
-/// migration contract ExecuteWithSeed exists for.
+/// migration contract a seeded `Execute` exists for.
 Result<BindingTable> RunSeeded(const Executor& ex, const sparql::Query& q,
                                size_t seed_patterns, CostMeter* meter) {
   sparql::Query seed_q;
@@ -60,7 +60,7 @@ Result<BindingTable> RunSeeded(const Executor& ex, const sparql::Query& q,
   rest.select_vars =
       q.select_vars.empty() ? q.AllVariables() : q.select_vars;
   DSKG_ASSIGN_OR_RETURN(BindingTable seed, ex.Execute(seed_q, meter));
-  return ex.ExecuteWithSeed(rest, seed, meter);
+  return testing::ExecuteProjected(ex, rest, &seed, meter);
 }
 
 class EngineEquivalenceTest : public ::testing::TestWithParam<uint64_t> {};
@@ -87,10 +87,10 @@ TEST_P(EngineEquivalenceTest, AllRelationalPathsMatchReference) {
           << "Execute diverged: " << q.ToString();
 
       CostMeter m2;
-      auto sharded = ex.ExecuteSharded(q, &m2, &pool, 4);
+      auto sharded = testing::ExecuteProjected(ex, q, nullptr, &m2, &pool);
       ASSERT_TRUE(sharded.ok()) << sharded.status() << "\n" << q.ToString();
       EXPECT_TRUE(BindingTable::SameRows(*sharded, expected))
-          << "ExecuteSharded diverged: " << q.ToString();
+          << "sharded Execute diverged: " << q.ToString();
 
       // Seed with every possible pattern prefix (seed columns then
       // overlap the remainder's join variables in all combinations the
@@ -100,7 +100,7 @@ TEST_P(EngineEquivalenceTest, AllRelationalPathsMatchReference) {
         auto seeded = RunSeeded(ex, q, k, &m3);
         ASSERT_TRUE(seeded.ok()) << seeded.status() << "\n" << q.ToString();
         EXPECT_TRUE(BindingTable::SameRows(*seeded, expected))
-            << "ExecuteWithSeed diverged (prefix " << k
+            << "seeded Execute diverged (prefix " << k
             << "): " << q.ToString();
       }
     }
@@ -163,8 +163,9 @@ TEST_P(EngineEquivalenceTest, ShardedTraversalMatchesSerial) {
       for (const int threads : {1, 2, 4}) {
         ThreadPool pool(static_cast<size_t>(threads));
         CostMeter meter;
-        auto sharded = matcher.MatchSharded(*plan, nullptr, &meter, &pool,
-                                            /*max_shards=*/0);
+        auto cursor = matcher.OpenCursor(*plan, nullptr, &meter);
+        ASSERT_TRUE(cursor.ok()) << cursor.status() << "\n" << q.ToString();
+        auto sharded = matcher.Drain(&*cursor, &pool);
         ASSERT_TRUE(sharded.ok()) << sharded.status() << "\n"
                                   << q.ToString();
 
@@ -464,6 +465,130 @@ TEST_P(EngineEquivalenceTest, PreparedVsFreshOracleUnderMutations) {
   }
 }
 
+// The store's execution pool shards whole graph drains — a graph-only
+// query through `ExecuteAll`, and the graph half of a dual-store query on
+// every path — and nothing else. Through the public Session API, rows
+// (content and order) and all five charge components must not move with
+// the pool size, for the materialized call and the streamed cursor alike.
+TEST_P(EngineEquivalenceTest, ExecutionPoolKeepsSessionResultsIdentical) {
+  struct Outcome {
+    QueryExecution exec;     // ExecuteAll
+    BindingTable streamed;   // cursor drained in small chunks
+    QueryExecution drained;  // the cursor's charges after the drain
+  };
+  const auto expect_same_charges = [](const QueryExecution& a,
+                                      const QueryExecution& b,
+                                      const std::string& what) {
+    EXPECT_EQ(a.route, b.route) << what;
+    EXPECT_EQ(a.rel_micros, b.rel_micros) << what;
+    EXPECT_EQ(a.graph_micros, b.graph_micros) << what;
+    EXPECT_EQ(a.migrate_micros, b.migrate_micros) << what;
+    EXPECT_EQ(a.graph_io_micros, b.graph_io_micros) << what;
+    EXPECT_EQ(a.graph_cpu_micros, b.graph_cpu_micros) << what;
+  };
+  const auto expect_same_rows = [](const BindingTable& a,
+                                   const BindingTable& b,
+                                   const std::string& what) {
+    EXPECT_EQ(a.columns, b.columns) << what;
+    EXPECT_EQ(a.NumRows(), b.NumRows()) << what;
+    EXPECT_EQ(a.flat(), b.flat()) << what;
+  };
+
+  // Per corpus: a triangle whose partitions are kept resident and a
+  // predicate kept relational, so the two fixed queries are sure to take
+  // Case 1 (graph) and Case 2 (dual); random BGPs fill in the rest.
+  const char* const triangle[2][2] = {{"bornIn", "advisor"},
+                                      {"y:wasBornIn", "y:hasAcademicAdvisor"}};
+  const char* const relational[2] = {"likes", "y:hasGivenName"};
+  int routes_seen[4] = {0, 0, 0, 0};
+  for (int corpus = 0; corpus < 2; ++corpus) {
+    const std::string born = triangle[corpus][0];
+    const std::string advisor = triangle[corpus][1];
+    const std::string flagship = "?p " + born + " ?c . ?p " + advisor +
+                                 " ?a . ?a " + born + " ?c . ";
+    std::vector<std::string> texts = {
+        "SELECT ?p ?a WHERE { " + flagship + "}",
+        "SELECT ?p ?x WHERE { " + flagship + "?p " + relational[corpus] +
+            " ?x . }"};
+    {
+      const rdf::Dataset ds = MakeCorpus(corpus);
+      Rng rng(GetParam() ^ 0x9001);
+      for (int i = 0; i < 30; ++i) {
+        texts.push_back(testing::RandomBgp(ds, &rng).ToString());
+      }
+    }
+    const auto run = [&](ThreadPool* pool) {
+      rdf::Dataset ds = MakeCorpus(corpus);
+      DualStoreConfig cfg;
+      cfg.graph_capacity_triples = ds.num_triples();
+      DualStore store(&ds, cfg);
+      CostMeter load;
+      size_t migrated = 0;
+      for (const TermId pred : store.table().Predicates()) {
+        const std::string name(ds.dict().TermOf(pred));
+        const bool resident = name == born || name == advisor ||
+                              (name != relational[corpus] && migrated % 2 == 0);
+        ++migrated;
+        if (resident) EXPECT_TRUE(store.MigratePartition(pred, &load).ok());
+      }
+      store.SetExecutionPool(pool);
+      Session session(&store);
+      std::vector<Outcome> out;
+      for (const std::string& text : texts) {
+        auto prepared = session.Prepare(text);
+        EXPECT_TRUE(prepared.ok()) << prepared.status() << "\n" << text;
+        if (!prepared.ok()) break;
+        Outcome o;
+        auto exec = prepared->ExecuteAll();
+        EXPECT_TRUE(exec.ok()) << exec.status() << "\n" << text;
+        if (!exec.ok()) break;
+        o.exec = std::move(exec).ValueOrDie();
+        auto cursor = prepared->OpenCursor();
+        EXPECT_TRUE(cursor.ok()) << cursor.status() << "\n" << text;
+        if (!cursor.ok()) break;
+        auto streamed = cursor->DrainAll(3);
+        EXPECT_TRUE(streamed.ok()) << streamed.status() << "\n" << text;
+        if (!streamed.ok()) break;
+        o.streamed = std::move(streamed).ValueOrDie();
+        o.drained = cursor->Execution();
+        out.push_back(std::move(o));
+      }
+      return out;
+    };
+
+    const std::vector<Outcome> serial = run(nullptr);
+    ASSERT_EQ(serial.size(), texts.size());
+    for (size_t i = 0; i < serial.size(); ++i) {
+      ++routes_seen[static_cast<int>(serial[i].exec.route)];
+      // Within one store, the streamed cursor agrees with ExecuteAll.
+      expect_same_rows(serial[i].streamed, serial[i].exec.result,
+                       "serial cursor vs ExecuteAll: " + texts[i]);
+      expect_same_charges(serial[i].drained, serial[i].exec,
+                          "serial cursor vs ExecuteAll: " + texts[i]);
+    }
+    for (const size_t threads : {size_t{2}, size_t{4}}) {
+      ThreadPool pool(threads);
+      const std::vector<Outcome> pooled = run(&pool);
+      ASSERT_EQ(pooled.size(), texts.size());
+      for (size_t i = 0; i < pooled.size(); ++i) {
+        const std::string what =
+            std::to_string(threads) + " threads: " + texts[i];
+        expect_same_rows(pooled[i].exec.result, serial[i].exec.result,
+                         "ExecuteAll, " + what);
+        expect_same_charges(pooled[i].exec, serial[i].exec,
+                            "ExecuteAll, " + what);
+        expect_same_rows(pooled[i].streamed, serial[i].exec.result,
+                         "cursor, " + what);
+        expect_same_charges(pooled[i].drained, serial[i].exec,
+                            "cursor, " + what);
+      }
+    }
+  }
+  EXPECT_GT(routes_seen[static_cast<int>(Route::kGraphOnly)], 0);
+  EXPECT_GT(routes_seen[static_cast<int>(Route::kDualStore)], 0);
+  EXPECT_GT(routes_seen[static_cast<int>(Route::kRelationalOnly)], 0);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, EngineEquivalenceTest,
                          ::testing::Values(11, 22, 33, 44));
 
@@ -550,7 +675,7 @@ TEST_F(SlotCompilerEdgeTest, SeedColumnOverlapJoinsAndCarries) {
                         sparql::PatternTerm::Const("bornIn"),
                         sparql::PatternTerm::Var("c")});
   CostMeter meter;
-  auto r = ex_->ExecuteWithSeed(q, seed, &meter);
+  auto r = testing::ExecuteProjected(*ex_, q, &seed, &meter);
   ASSERT_TRUE(r.ok()) << r.status();
   ASSERT_EQ(r->NumRows(), 2u);
   r->Canonicalize();
@@ -577,7 +702,7 @@ TEST_F(SlotCompilerEdgeTest, SeedColumnsIdenticalToPatternVars) {
   auto q = Parser::Parse("SELECT ?p ?c WHERE { ?p bornIn ?c . }");
   ASSERT_TRUE(q.ok());
   CostMeter meter;
-  auto r = ex_->ExecuteWithSeed(*q, seed, &meter);
+  auto r = testing::ExecuteProjected(*ex_, *q, &seed, &meter);
   ASSERT_TRUE(r.ok()) << r.status();
   ASSERT_EQ(r->NumRows(), 1u);  // only alice/berlin survives
   EXPECT_EQ(r->NumColumns(), 2u);

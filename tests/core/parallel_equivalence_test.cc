@@ -7,8 +7,9 @@
 ///     (TTI, tuning, per-query traces) to `Run`;
 ///   * concurrent `DualStore::Process` must return the same binding
 ///     tables as serial calls;
-///   * `Executor::ExecuteSharded` must return the same rows as `Execute`,
-///     and identical scan/materialize costs on single-pattern queries;
+///   * `Executor::Execute` sharded over a pool must return the same rows
+///     as the serial run, and identical scan/materialize costs on
+///     single-pattern queries;
 ///   * `TripleTable::ShardPattern`/`ScanShard` must partition exactly the
 ///     triples `ScanPattern` streams, in the same global order.
 
@@ -163,7 +164,7 @@ TEST(ParallelEquivalenceTest, ConcurrentProcessReturnsSameBindingTables) {
   }
 }
 
-TEST(ParallelEquivalenceTest, ExecuteShardedMatchesExecuteOnRandomBgps) {
+TEST(ParallelEquivalenceTest, ShardedExecuteMatchesSerialOnRandomBgps) {
   workload::YagoConfig gen;
   gen.target_triples = 8000;
   rdf::Dataset ds = workload::GenerateYago(gen);
@@ -180,8 +181,8 @@ TEST(ParallelEquivalenceTest, ExecuteShardedMatchesExecuteOnRandomBgps) {
     auto serial = store.executor().Execute(q, &serial_meter);
     ASSERT_TRUE(serial.ok()) << serial.status();
     CostMeter sharded_meter;
-    auto sharded =
-        store.executor().ExecuteSharded(q, &sharded_meter, &pool, 4);
+    auto sharded = testing::ExecuteProjected(store.executor(), q, nullptr,
+                                             &sharded_meter, &pool);
     ASSERT_TRUE(sharded.ok()) << sharded.status();
     EXPECT_EQ(serial->columns, sharded->columns) << "query " << i;
     EXPECT_TRUE(BindingTable::SameRows(*serial, *sharded)) << "query " << i;

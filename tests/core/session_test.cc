@@ -145,7 +145,8 @@ TEST_F(SessionErrorTest, DirectEnginePathsRefuseUnboundParameters) {
 
   CostMeter m2;
   ThreadPool pool(2);
-  auto sharded = store_.executor().ExecuteSharded(*q, &m2, &pool, 2);
+  auto sharded = testing::ExecuteProjected(store_.executor(), *q, nullptr,
+                                           &m2, &pool);
   ASSERT_FALSE(sharded.ok());
   EXPECT_TRUE(sharded.status().IsFailedPrecondition());
 
@@ -390,14 +391,15 @@ TEST_P(SessionCursorTest, CursorChunksMatchExecuteAllAndReference) {
         EXPECT_DOUBLE_EQ(drained.migrate_micros, exec->migrate_micros);
       }
 
-      // The sharded executor path agrees too (bound form; the sharded
-      // path requires a parameter-free query).
+      // The sharded executor run agrees too (bound form: the AST carries
+      // no parameter values).
       const Query bound = BindAst(pq.query, pq.bindings);
       CostMeter meter;
-      auto sharded = store.executor().ExecuteSharded(bound, &meter, &pool, 4);
+      auto sharded = testing::ExecuteProjected(store.executor(), bound,
+                                               nullptr, &meter, &pool);
       ASSERT_TRUE(sharded.ok()) << sharded.status();
       EXPECT_TRUE(BindingTable::SameRows(*sharded, expected))
-          << "ExecuteSharded diverged: " << bound.ToString();
+          << "sharded Execute diverged: " << bound.ToString();
     }
   }
 }
@@ -440,6 +442,54 @@ TEST(SessionCursorTest2, DualStoreRouteStreamsIdenticalRows) {
   EXPECT_DOUBLE_EQ(drained.rel_micros, exec->rel_micros);
   EXPECT_DOUBLE_EQ(drained.graph_micros, exec->graph_micros);
   EXPECT_DOUBLE_EQ(drained.migrate_micros, exec->migrate_micros);
+}
+
+TEST(SessionCursorTest2, ZeroRowPullIsInvalidOnEveryRoute) {
+  // A pull of zero rows is a caller error on every route, and a refused
+  // pull consumes nothing; a zero-row pull that returned OK without rows
+  // would leave `DrainAll(0)` looping forever.
+  rdf::Dataset ds = testing::SmallPeopleGraph();
+  DualStoreConfig cfg;
+  cfg.graph_capacity_triples = ds.num_triples();
+  DualStore store(&ds, cfg);
+  CostMeter load;
+  ASSERT_TRUE(store.MigratePartition(ds.dict().Lookup("bornIn"), &load).ok());
+  ASSERT_TRUE(
+      store.MigratePartition(ds.dict().Lookup("advisor"), &load).ok());
+  Session session(&store);
+
+  const std::pair<const char*, Route> cases[] = {
+      {"SELECT ?p WHERE { ?p bornIn ?c . ?p advisor ?a . ?a bornIn ?c . }",
+       Route::kGraphOnly},
+      {"SELECT ?p ?f WHERE { ?p bornIn ?c . ?p advisor ?a . "
+       "?a bornIn ?c . ?p likes ?f . }",
+       Route::kDualStore},
+      {"SELECT ?p ?f WHERE { ?p likes ?f . }", Route::kRelationalOnly},
+  };
+  for (const auto& [text, route] : cases) {
+    auto prepared = session.Prepare(text);
+    ASSERT_TRUE(prepared.ok()) << prepared.status();
+    auto exec = prepared->ExecuteAll();
+    ASSERT_TRUE(exec.ok()) << exec.status();
+    ASSERT_GT(exec->result.NumRows(), 0u) << text;
+
+    auto cursor = prepared->OpenCursor();
+    ASSERT_TRUE(cursor.ok()) << cursor.status();
+    EXPECT_EQ(cursor->route(), route) << text;
+    BindingTable chunk;
+    bool done = false;
+    const Status zero = cursor->Next(&chunk, 0, &done);
+    EXPECT_TRUE(zero.IsInvalidArgument()) << text << ": " << zero;
+    EXPECT_FALSE(done) << text;
+    auto drained_zero = cursor->DrainAll(0);
+    ASSERT_FALSE(drained_zero.ok()) << text;
+    EXPECT_TRUE(drained_zero.status().IsInvalidArgument()) << text;
+
+    // The refused pulls consumed nothing: every row still streams out.
+    auto rest = cursor->DrainAll(2);
+    ASSERT_TRUE(rest.ok()) << rest.status();
+    EXPECT_TRUE(BindingTable::SameRows(*rest, exec->result)) << text;
+  }
 }
 
 TEST(SessionCursorTest2, EarlyAbandonedGraphCursorChargesLess) {

@@ -102,7 +102,7 @@ TEST_F(ExecutorTest, SeededExecutionJoinsByColumnName) {
   auto q = Parser::Parse("SELECT ?p ?c WHERE { ?p bornIn ?c . }");
   ASSERT_TRUE(q.ok());
   CostMeter meter;
-  auto r = executor_->ExecuteWithSeed(*q, seed, &meter);
+  auto r = testing::ExecuteProjected(*executor_, *q, &seed, &meter);
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_EQ(r->NumRows(), 2u);
   // Each row's city matches the seeded person, not the cross product.

@@ -8,6 +8,8 @@
 
 #include <vector>
 
+#include "relstore/executor.h"
+
 namespace dskg::sparql {
 namespace {
 
@@ -87,10 +89,11 @@ TEST(BindingTableFlat, ProjectDuplicateTargetColumn) {
   BindingTable t;
   t.columns = {"a", "b"};
   t.AppendRow({1, 2});
-  BindingTable p = t.Project({"b", "a", "b"});
-  EXPECT_EQ(p.columns, (std::vector<std::string>{"b", "a", "b"}));
-  ASSERT_EQ(p.NumRows(), 1u);
-  EXPECT_EQ(p.flat(), (std::vector<TermId>{2, 1, 2}));
+  auto p = relstore::Executor::Project(t, {"b", "a", "b"});
+  ASSERT_TRUE(p.ok()) << p.status();
+  EXPECT_EQ(p->columns, (std::vector<std::string>{"b", "a", "b"}));
+  ASSERT_EQ(p->NumRows(), 1u);
+  EXPECT_EQ(p->flat(), (std::vector<TermId>{2, 1, 2}));
 }
 
 TEST(BindingTableFlat, CanonicalizeSortsLexicographically) {

@@ -3,8 +3,9 @@
 
 /// \file test_util.h
 /// Shared test helpers: a tiny hand-written dataset, a brute-force BGP
-/// reference evaluator (independent of both engines), and a random BGP
-/// generator for property tests.
+/// reference evaluator (independent of both engines), a random BGP
+/// generator for property tests, and a projected run of the executor's
+/// compiled entry point.
 
 #include <algorithm>
 #include <map>
@@ -12,11 +13,26 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "rdf/dataset.h"
+#include "relstore/executor.h"
 #include "sparql/ast.h"
 #include "sparql/bindings.h"
 
 namespace dskg::testing {
+
+/// Runs `query` through the executor's compiled entry point — from `seed`
+/// when non-null, sharded over `pool` when non-null — and applies the
+/// output projection, as the AST `Execute` does for the plain case.
+inline Result<sparql::BindingTable> ExecuteProjected(
+    const relstore::Executor& ex, const sparql::Query& query,
+    const sparql::BindingTable* seed, CostMeter* meter,
+    ThreadPool* pool = nullptr) {
+  const relstore::Executor::CompiledQuery cq = ex.Compile(query);
+  DSKG_ASSIGN_OR_RETURN(sparql::BindingTable joined,
+                        ex.Execute(cq, nullptr, seed, meter, pool));
+  return relstore::Executor::Project(joined, cq.out_vars);
+}
 
 /// A small fixed dataset about people, cities and movies, convenient for
 /// hand-checkable assertions.
