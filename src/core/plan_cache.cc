@@ -6,6 +6,64 @@
 
 namespace dskg::core {
 
+PlanEntry::PlanEntry(std::string text, sparql::Query query)
+    : text(std::move(text)), query(std::move(query)),
+      params(this->query.Parameters()) {}
+
+// ---- ParamBindings ----------------------------------------------------------
+
+ParamBindings::ParamBindings(std::shared_ptr<const PlanEntry> entry)
+    : entry_(std::move(entry)), bindings_(entry_->params.size()) {}
+
+Status ParamBindings::Bind(std::string_view name, std::string_view term,
+                           const rdf::Dictionary& dict, uint64_t epoch) {
+  const std::vector<std::string>& params = entry_->params;
+  size_t idx = 0;
+  while (idx < params.size() && params[idx] != name) ++idx;
+  if (idx == params.size()) {
+    return Status::InvalidArgument("no parameter $" + std::string(name) +
+                                   " in query \"" + entry_->text + "\"");
+  }
+  const rdf::TermId id = dict.Lookup(term);
+  if (id == rdf::kInvalidTermId) {
+    return Status::NotFound("term " + std::string(term) +
+                            " is not in the dictionary; binding it to $" +
+                            std::string(name) + " could never match");
+  }
+  bindings_[idx] = {true, std::string(term), id, epoch};
+  return Status::OK();
+}
+
+void ParamBindings::Clear() {
+  bindings_.assign(entry_->params.size(), Binding{});
+}
+
+Result<std::vector<rdf::TermId>> ParamBindings::Values(
+    const rdf::Dictionary& dict, uint64_t epoch) {
+  std::vector<rdf::TermId> values;
+  values.reserve(bindings_.size());
+  for (size_t i = 0; i < bindings_.size(); ++i) {
+    Binding& b = bindings_[i];
+    if (!b.bound) {
+      return Status::FailedPrecondition(
+          "parameter $" + entry_->params[i] + " is unbound in query \"" +
+          entry_->text + "\"");
+    }
+    if (b.epoch != epoch) {
+      b.id = dict.Lookup(b.term);
+      b.epoch = epoch;
+      if (b.id == rdf::kInvalidTermId) {
+        return Status::NotFound("bound term " + b.term +
+                                " is no longer in the dictionary");
+      }
+    }
+    values.push_back(b.id);
+  }
+  return values;
+}
+
+// ---- SharedPlanCache --------------------------------------------------------
+
 SharedPlanCache::SharedPlanCache(size_t capacity) : capacity_(capacity) {
   auto& reg = telemetry::MetricsRegistry::Global();
   hits_ = reg.counter("plan_cache.shared.hits")->NewCell();
@@ -15,68 +73,73 @@ SharedPlanCache::SharedPlanCache(size_t capacity) : capacity_(capacity) {
   evictions_ = reg.counter("plan_cache.shared.evictions")->NewCell();
 }
 
-Result<std::shared_ptr<const PreparedPlan>> SharedPlanCache::GetOrPrepare(
-    std::string_view text, const DualStore& store,
-    const sparql::Query* parsed) {
-  const uint64_t epoch = store.plan_epoch();
-  std::shared_ptr<const sparql::Query> query;
+Result<std::shared_ptr<const PlanEntry>> SharedPlanCache::Lookup(
+    std::string_view text, bool* parsed) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = entries_.find(std::string(text));
-    if (it != entries_.end()) {
-      lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-      if (it->second.plan != nullptr && it->second.epoch == epoch) {
-        hits_->Add();
-        return it->second.plan;
-      }
-      query = it->second.parsed;  // reuse the parse across the epoch move
+    auto it = index_.find(text);
+    if (it != index_.end()) {
+      lru_.splice(lru_.begin(), lru_, it->second);
+      if (parsed != nullptr) *parsed = false;
+      return *it->second;
     }
   }
 
-  // Miss: parse (if nobody has yet) and prepare outside the lock — a slow
-  // compilation must not serialize unrelated lookups.
-  if (query == nullptr) {
-    if (parsed != nullptr) {
-      query = std::make_shared<const sparql::Query>(*parsed);
-    } else {
-      DSKG_ASSIGN_OR_RETURN(sparql::Query q, sparql::Parser::Parse(text));
-      query = std::make_shared<const sparql::Query>(std::move(q));
-      parses_->Add();
-    }
+  // First sight: parse outside the lock — a slow parse must not serialize
+  // unrelated lookups.
+  DSKG_ASSIGN_OR_RETURN(sparql::Query query, sparql::Parser::Parse(text));
+  auto entry =
+      std::make_shared<const PlanEntry>(std::string(text), std::move(query));
+  if (parsed != nullptr) {
+    *parsed = true;
+  } else {
+    parses_->Add();
   }
-  DSKG_ASSIGN_OR_RETURN(PreparedPlan plan, store.Prepare(*query));
-  auto shared = std::make_shared<const PreparedPlan>(std::move(plan));
 
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = entries_.find(std::string(text));
-  if (it == entries_.end()) {
-    lru_.push_front(std::string(text));
-    Entry entry;
-    entry.parsed = query;
-    entry.epoch = shared->plan_epoch;
-    entry.plan = shared;
-    entry.lru_it = lru_.begin();
-    it = entries_.emplace(std::string(text), std::move(entry)).first;
-    EvictOverflowLocked();
-  } else if (it->second.plan == nullptr ||
-             it->second.epoch <= shared->plan_epoch) {
-    // Replace the stale (or absent) plan; a racing caller that installed
-    // an even newer epoch wins instead.
-    if (it->second.plan != nullptr && it->second.epoch < shared->plan_epoch) {
-      invalidations_->Add();
-    }
-    it->second.epoch = shared->plan_epoch;
-    it->second.plan = shared;
-    it->second.parsed = query;
+  auto it = index_.find(text);
+  if (it != index_.end()) {  // lost a race: share the winner's entry
+    lru_.splice(lru_.begin(), lru_, it->second);
+    return *it->second;
   }
+  lru_.push_front(entry);
+  index_.emplace(entry->text, lru_.begin());
+  EvictOverflowLocked();
+  return entry;
+}
+
+Result<std::shared_ptr<const PreparedPlan>> SharedPlanCache::PlanFor(
+    const PlanEntry& entry, const DualStore& store, bool* replanned) {
+  const uint64_t epoch = store.plan_epoch();
+  {
+    std::lock_guard<std::mutex> lock(entry.mu_);
+    if (entry.plan_ != nullptr && entry.plan_->plan_epoch == epoch) {
+      hits_->Add();
+      return entry.plan_;
+    }
+    if (replanned != nullptr) *replanned = entry.plan_ != nullptr;
+  }
+
+  // Miss: prepare outside the entry's lock, from the cached parse.
+  DSKG_ASSIGN_OR_RETURN(PreparedPlan plan, store.Prepare(entry.query));
+  auto shared = std::make_shared<const PreparedPlan>(std::move(plan));
   misses_->Add();
+
+  std::lock_guard<std::mutex> lock(entry.mu_);
+  // Epochs are monotone: install only over an older (or absent) plan. A
+  // reader pinned to an older snapshot keeps its plan to itself, and a
+  // racing caller that installed this epoch first keeps its install.
+  if (entry.plan_ == nullptr || entry.plan_->plan_epoch < shared->plan_epoch) {
+    if (entry.plan_ != nullptr) invalidations_->Add();
+    entry.plan_ = shared;
+  }
   return shared;
 }
 
 void SharedPlanCache::EvictOverflowLocked() {
   if (capacity_ == 0) return;
-  while (entries_.size() > capacity_) {
-    entries_.erase(lru_.back());
+  while (lru_.size() > capacity_) {
+    index_.erase(lru_.back()->text);
     lru_.pop_back();
     evictions_->Add();
   }
@@ -94,19 +157,13 @@ SharedPlanCache::Stats SharedPlanCache::stats() const {
 
 size_t SharedPlanCache::size() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return entries_.size();
+  return lru_.size();
 }
 
 void SharedPlanCache::set_capacity(size_t capacity) {
   std::lock_guard<std::mutex> lock(mu_);
   capacity_ = capacity;
   EvictOverflowLocked();
-}
-
-void SharedPlanCache::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  entries_.clear();
-  lru_.clear();
 }
 
 }  // namespace dskg::core

@@ -2,35 +2,36 @@
 #define DSKG_CORE_PLAN_CACHE_H_
 
 /// \file plan_cache.h
-/// The cross-session shared plan cache: one compiled plan per
-/// `(query text, plan_epoch)` for *all* tenants of a store.
+/// The plan cache: one compiled plan per `(query text, plan_epoch)` for
+/// every `core::Session` handle and server statement that shares it.
 ///
-/// A `core::Session` caches plans per session, so two tenants preparing
-/// the same template each pay a full parse + route + slot compilation.
-/// With thousands of connections running a catalog of a few dozen
-/// templates that is pure waste: the plan depends only on the query text
-/// and the store's physical state (versioned by `DualStore::
-/// plan_epoch()`), never on who asked. `SharedPlanCache` hoists the
-/// cache one level up:
+/// A plan depends only on the query text and the store's physical state
+/// (versioned by `DualStore::plan_epoch()`), never on who asked. So the
+/// cache keeps one `PlanEntry` per text — the parse, its `$param` names
+/// and the newest epoch's plan — and every handle on that text holds a
+/// `shared_ptr` to the same entry:
 ///
-///   * `GetOrPrepare(text, store)` returns the plan for
-///     `(text, store.plan_epoch())`, parsing and preparing at most once
-///     per key no matter how many sessions/connections race on it.
-///   * Parses are cached separately per text, so an epoch move (an
-///     `ApplyUpdates`, a tuning window) re-plans without re-parsing.
-///   * Epochs are monotone, so a newer epoch's plan simply replaces the
-///     stale one (`stats().invalidations`) — a stale entry is never
-///     returned, callers transparently re-prepare.
-///   * Texts are LRU-bounded (`capacity`, 0 = unbounded); plans held by
-///     callers stay alive through their shared_ptr after eviction.
+///   * `Lookup(text)` returns the entry, parsing the text on first
+///     sight. Only this text-keyed step takes the cache's map lock.
+///   * `PlanFor(entry, store)` returns the entry's plan for
+///     `store.plan_epoch()`. A hit is one pointer compare under the
+///     entry's own mutex; a miss prepares against `store`, reusing the
+///     parse, so an epoch move (an `ApplyUpdates`, a tuning window)
+///     re-plans without re-parsing.
+///   * Installs are monotone: a newer epoch's plan replaces an older one
+///     (`stats().invalidations`), and a reader pinned to an older
+///     snapshot gets a plan for its own epoch without overwriting the
+///     newer one.
+///   * Texts are LRU-bounded (`capacity`, 0 = unbounded) by lookup.
+///     Handles keep an evicted entry alive through their shared_ptr and
+///     keep working; looking the text up again is a fresh parse.
 ///
-/// Attach to sessions with `Session::set_shared_plan_cache`; the server
-/// tier uses it directly (its per-connection statements are plain text +
-/// bindings, the plans all live here). Thread-safe; the map lock is
-/// never held across a parse or prepare, so a slow compilation of one
-/// text does not serialize lookups of another. Losing a prepare race
-/// costs one redundant compilation; the first-installed plan wins and
-/// both callers get a valid plan for their epoch.
+/// A `Session` owns a cache by default or borrows one passed at
+/// construction; the server's connections share the server's. Thread-
+/// safe; no lock is held across a parse or prepare, so a slow
+/// compilation of one text does not serialize lookups of another. Losing
+/// a prepare race costs one redundant compilation; both callers get a
+/// valid plan for their epoch.
 
 #include <cstdint>
 #include <list>
@@ -39,17 +40,76 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <vector>
 
 #include "common/status.h"
 #include "common/telemetry.h"
 #include "core/dual_store.h"
 #include "core/query_processor.h"
+#include "rdf/dictionary.h"
+#include "rdf/triple.h"
 #include "sparql/ast.h"
 
 namespace dskg::core {
 
-/// A process-wide (or per-store) plan cache shared by any number of
-/// sessions and server connections.
+/// One cached query text: the store-independent parse plus the epoch-
+/// stamped plan, refreshed in place when the store's physical state
+/// moves. Shared by every handle on the text.
+class PlanEntry {
+ public:
+  PlanEntry(std::string text, sparql::Query query);
+
+  const std::string text;
+  const sparql::Query query;              ///< parsed once; may hold $params
+  const std::vector<std::string> params;  ///< distinct $param names
+
+ private:
+  friend class SharedPlanCache;
+  mutable std::mutex mu_;  // guards `plan_`
+  /// The newest epoch's plan; null until first prepared.
+  mutable std::shared_ptr<const PreparedPlan> plan_;
+};
+
+/// One handle's `$param` → term bindings for an entry (which it keeps
+/// alive), resolved to dictionary ids. The one resolver behind
+/// `PreparedQuery::Bind` and the server's EXECUTE.
+class ParamBindings {
+ public:
+  explicit ParamBindings(std::shared_ptr<const PlanEntry> entry);
+
+  const PlanEntry& entry() const { return *entry_; }
+
+  /// Binds `$name` to the term with text `term`, looked up in `dict`,
+  /// the dictionary as of plan epoch `epoch`. InvalidArgument when the
+  /// query has no such parameter; NotFound when the term is not in the
+  /// dictionary (nothing could ever match).
+  Status Bind(std::string_view name, std::string_view term,
+              const rdf::Dictionary& dict, uint64_t epoch);
+
+  /// Drops every binding.
+  void Clear();
+
+  /// The per-plan-parameter id array for a plan at `epoch` (empty when
+  /// the query has no parameters). A term bound at another epoch is
+  /// re-resolved in `dict` — ids are recycled, so a possibly re-assigned
+  /// id is never trusted. FailedPrecondition when a parameter is
+  /// unbound; NotFound when a bound term has left the dictionary.
+  Result<std::vector<rdf::TermId>> Values(const rdf::Dictionary& dict,
+                                          uint64_t epoch);
+
+ private:
+  struct Binding {
+    bool bound = false;
+    std::string term;                       // bound term text
+    rdf::TermId id = rdf::kInvalidTermId;   // resolved id
+    uint64_t epoch = 0;                     // plan epoch at resolve time
+  };
+
+  std::shared_ptr<const PlanEntry> entry_;
+  std::vector<Binding> bindings_;  // aligned with entry_->params
+};
+
+/// A plan cache shared by any number of sessions and server connections.
 class SharedPlanCache {
  public:
   /// Default bound on cached texts. Sized for a production template
@@ -61,21 +121,29 @@ class SharedPlanCache {
   SharedPlanCache(const SharedPlanCache&) = delete;
   SharedPlanCache& operator=(const SharedPlanCache&) = delete;
 
-  /// The plan for `(text, store.plan_epoch())`. On a hit this is a map
-  /// lookup; on a miss the text is parsed (unless `parsed` supplies the
-  /// caller's parse, or a previous epoch's parse is cached) and prepared
-  /// against `store`, and the result is installed for every other
-  /// caller. Under an installed `DualStore::SnapshotScope` both the
-  /// epoch and the prepared plan read the pinned snapshot.
-  Result<std::shared_ptr<const PreparedPlan>> GetOrPrepare(
-      std::string_view text, const DualStore& store,
-      const sparql::Query* parsed = nullptr);
+  /// The entry for `text`, parsed on first sight (a ParseError surfaces
+  /// here and caches nothing); marks the text most recently used. A
+  /// caller that passes `parsed` learns whether this call parsed the
+  /// text and counts that parse in its own telemetry (a Session's
+  /// `session.prepares`); otherwise the cache counts it in
+  /// `stats().parses`. Either way a parse is counted once.
+  Result<std::shared_ptr<const PlanEntry>> Lookup(std::string_view text,
+                                                  bool* parsed = nullptr);
+
+  /// `entry`'s plan for `store.plan_epoch()` — under an installed
+  /// `DualStore::SnapshotScope`, the pinned epoch, and the plan is
+  /// prepared against the pinned snapshot. `*replanned` (optional) turns
+  /// true when this call compiled although the entry already held a plan
+  /// for another epoch.
+  Result<std::shared_ptr<const PreparedPlan>> PlanFor(
+      const PlanEntry& entry, const DualStore& store,
+      bool* replanned = nullptr);
 
   /// Monotone counters since construction.
   struct Stats {
-    uint64_t hits = 0;           ///< plan served from the cache
+    uint64_t hits = 0;           ///< plan served without compiling
     uint64_t misses = 0;         ///< full prepare (new text or new epoch)
-    uint64_t parses = 0;         ///< texts parsed (<= misses)
+    uint64_t parses = 0;         ///< texts parsed, unless caller-counted
     uint64_t invalidations = 0;  ///< stale-epoch plans replaced
     uint64_t evictions = 0;      ///< texts dropped by the LRU bound
   };
@@ -87,24 +155,17 @@ class SharedPlanCache {
   /// Rebounds the cache (0 = unbounded), evicting immediately if over.
   void set_capacity(size_t capacity);
 
-  /// Drops every cached parse and plan.
-  void Clear();
-
  private:
-  struct Entry {
-    std::shared_ptr<const sparql::Query> parsed;  // survives epoch moves
-    uint64_t epoch = 0;
-    std::shared_ptr<const PreparedPlan> plan;  // null until first prepare
-    std::list<std::string>::iterator lru_it;
-  };
+  using LruList = std::list<std::shared_ptr<const PlanEntry>>;
 
   /// Caller holds `mu_`.
   void EvictOverflowLocked();
 
   mutable std::mutex mu_;
-  std::unordered_map<std::string, Entry> entries_;
-  /// Texts, most recently used first. Guarded by `mu_`.
-  std::list<std::string> lru_;
+  /// Entries, most recently looked up first. Guarded by `mu_`.
+  LruList lru_;
+  /// Text → position in `lru_`; keys view the entries' own text.
+  std::unordered_map<std::string_view, LruList::iterator> index_;
   size_t capacity_;
 
   /// Dedicated cells in the global `plan_cache.shared.*` counters: exact

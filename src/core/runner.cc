@@ -98,35 +98,29 @@ ProcessedQuery ReduceOne(Result<QueryExecution> exec) {
   return out;
 }
 
-/// Folds one processed query into the batch aggregates, in order.
-void Accumulate(ProcessedQuery&& pq, BatchMetrics* bm,
-                std::vector<Query>* finished_complex) {
-  bm->tti_micros += pq.trace.total_micros;
-  bm->graph_micros += pq.trace.graph_micros;
-  bm->rel_micros += pq.trace.rel_micros;
-  bm->migrate_micros += pq.trace.migrate_micros;
-  bm->queries.push_back(pq.trace);
-  if (pq.finished_complex.has_value()) {
-    finished_complex->push_back(*std::move(pq.finished_complex));
+/// Folds a batch's processed queries into its aggregates in submission
+/// order; the first failed query fails the batch. Shared by the offline
+/// and online loops.
+Status Accumulate(std::vector<ProcessedQuery>* processed, BatchMetrics* bm,
+                  std::vector<Query>* finished_complex) {
+  for (ProcessedQuery& pq : *processed) {
+    DSKG_RETURN_NOT_OK(pq.status);
+    bm->tti_micros += pq.trace.total_micros;
+    bm->graph_micros += pq.trace.graph_micros;
+    bm->rel_micros += pq.trace.rel_micros;
+    bm->migrate_micros += pq.trace.migrate_micros;
+    bm->queries.push_back(pq.trace);
+    if (pq.finished_complex.has_value()) {
+      finished_complex->push_back(*std::move(pq.finished_complex));
+    }
   }
+  return Status::OK();
 }
 
 }  // namespace
 
 Result<RunMetrics> WorkloadRunner::Run(const Workload& workload,
-                                       int num_batches) {
-  return RunImpl(workload, num_batches, /*pool=*/nullptr);
-}
-
-Result<RunMetrics> WorkloadRunner::RunParallel(const Workload& workload,
-                                               int num_batches,
-                                               ThreadPool* pool) {
-  return RunImpl(workload, num_batches, pool);
-}
-
-Result<RunMetrics> WorkloadRunner::RunImpl(const Workload& workload,
-                                           int num_batches,
-                                           ThreadPool* pool) {
+                                       int num_batches, ThreadPool* pool) {
   RunMetrics metrics;
   const auto batches = workload.BatchRanges(num_batches);
   const WorkloadQuery* queries = workload.queries.data();
@@ -185,10 +179,7 @@ Result<RunMetrics> WorkloadRunner::RunImpl(const Workload& workload,
     }
 
     std::vector<Query> finished_complex;
-    for (size_t i = 0; i < batch_size; ++i) {
-      DSKG_RETURN_NOT_OK(processed[i].status);
-      Accumulate(std::move(processed[i]), &bm, &finished_complex);
-    }
+    DSKG_RETURN_NOT_OK(Accumulate(&processed, &bm, &finished_complex));
 
     if (tuner_ != nullptr) {
       CostMeter meter;
@@ -320,14 +311,10 @@ Result<OnlineRunMetrics> WorkloadRunner::RunOnline(
     bm.update_micros = update_meter.sim_micros();
 
     std::vector<Query> finished_complex;
-    for (size_t i = 0; i < batch_size; ++i) {
-      DSKG_RETURN_NOT_OK(processed[i].status);
-      bm.tti_micros += processed[i].trace.total_micros;
-      bm.queries.push_back(processed[i].trace);
-      if (processed[i].finished_complex.has_value()) {
-        finished_complex.push_back(*std::move(processed[i].finished_complex));
-      }
-    }
+    BatchMetrics folded;
+    DSKG_RETURN_NOT_OK(Accumulate(&processed, &folded, &finished_complex));
+    bm.tti_micros = folded.tti_micros;
+    bm.queries = std::move(folded.queries);
 
     // ---- offline window: drift check, tuner re-trigger ----------------
     if (tuner_ != nullptr && options.drift_threshold >= 0) {

@@ -2,11 +2,8 @@
 
 #include <utility>
 
-#include "sparql/parser.h"
-
 namespace dskg::core {
 
-using session_internal::CacheEntry;
 using session_internal::Snapshot;
 
 namespace {
@@ -39,7 +36,6 @@ Session::StatCells::StatCells() {
   cache_hits = reg.counter("session.cache_hits")->NewCell();
   executions = reg.counter("session.executions")->NewCell();
   replans = reg.counter("session.replans")->NewCell();
-  evictions = reg.counter("session.evictions")->NewCell();
 }
 
 // ---- Cursor -----------------------------------------------------------------
@@ -65,68 +61,24 @@ Result<sparql::BindingTable> Cursor::DrainAll(size_t chunk_rows) {
 
 // ---- PreparedQuery ----------------------------------------------------------
 
-PreparedQuery::PreparedQuery(Session* session,
-                             std::shared_ptr<CacheEntry> entry)
-    : session_(session), entry_(std::move(entry)),
-      bindings_(entry_->params.size()) {}
-
 Status PreparedQuery::Bind(std::string_view param, std::string_view term) {
   telemetry::TraceScope span(Hists().bind_us, "session.bind");
-  size_t idx = entry_->params.size();
-  for (size_t i = 0; i < entry_->params.size(); ++i) {
-    if (entry_->params[i] == param) {
-      idx = i;
-      break;
-    }
-  }
-  if (idx == entry_->params.size()) {
-    return Status::InvalidArgument(
-        "no parameter $" + std::string(param) + " in query \"" +
-        entry_->text + "\"");
-  }
   const Snapshot snap = session_->Pin();
   DualStore::SnapshotScope scope(snap.view);
-  const rdf::TermId id = snap.store->dict().Lookup(term);
-  if (id == rdf::kInvalidTermId) {
-    return Status::NotFound("term " + std::string(term) +
-                            " is not in the dictionary; binding it to $" +
-                            std::string(param) + " could never match");
-  }
-  bindings_[idx] = {true, std::string(term), id, snap.store->plan_epoch()};
-  return Status::OK();
+  return bindings_.Bind(param, term, snap.store->dict(),
+                        snap.store->plan_epoch());
 }
 
-void PreparedQuery::ClearBindings() {
-  bindings_.assign(entry_->params.size(), Binding{});
-}
+void PreparedQuery::ClearBindings() { bindings_.Clear(); }
 
 Result<std::vector<rdf::TermId>> PreparedQuery::ResolveForExecution(
     const Snapshot& snap, std::shared_ptr<const PreparedPlan>* plan) {
-  DSKG_ASSIGN_OR_RETURN(*plan, session_->PlanFor(entry_.get(), *snap.store));
-  const uint64_t epoch = (*plan)->plan_epoch;
-  std::vector<rdf::TermId> values;
-  values.reserve(bindings_.size());
-  for (size_t i = 0; i < bindings_.size(); ++i) {
-    Binding& b = bindings_[i];
-    if (!b.bound) {
-      return Status::FailedPrecondition(
-          "parameter $" + entry_->params[i] + " is unbound in query \"" +
-          entry_->text + "\"");
-    }
-    if (b.epoch != epoch) {
-      // The dictionary may have changed (ids are recycled
-      // deterministically): re-resolve the bound text against the pinned
-      // snapshot rather than trusting a possibly re-assigned id.
-      b.id = snap.store->dict().Lookup(b.term);
-      b.epoch = epoch;
-      if (b.id == rdf::kInvalidTermId) {
-        return Status::NotFound("bound term " + b.term +
-                                " is no longer in the dictionary");
-      }
-    }
-    values.push_back(b.id);
-  }
-  return values;
+  bool replanned = false;
+  DSKG_ASSIGN_OR_RETURN(*plan, session_->cache_->PlanFor(
+                                   bindings_.entry(), *snap.store, &replanned));
+  session_->cells_.executions->Add();
+  if (replanned) session_->cells_.replans->Add();
+  return bindings_.Values(snap.store->dict(), (*plan)->plan_epoch);
 }
 
 Result<QueryExecution> PreparedQuery::ExecuteAll() {
@@ -150,7 +102,7 @@ Result<QueryExecution> PreparedQuery::ExecuteAll() {
       reg.traces().Record("session.execute", start_us, dur_us);
     }
     if (result.ok() && reg.slow_queries().enabled()) {
-      reg.slow_queries().MaybeRecord(entry_->text, RouteName(result->route),
+      reg.slow_queries().MaybeRecord(text(), RouteName(result->route),
                                      dur_us / 1000.0);
     }
   }
@@ -179,6 +131,13 @@ Result<Cursor> PreparedQuery::OpenCursor() {
 
 // ---- Session ----------------------------------------------------------------
 
+Session::Session(DualStore* dual, OnlineStore* online, ThreadPool* pool,
+                 SharedPlanCache* plan_cache)
+    : dual_(dual), online_(online), pool_(pool),
+      owned_cache_(plan_cache == nullptr ? std::make_unique<SharedPlanCache>()
+                                         : nullptr),
+      cache_(plan_cache == nullptr ? owned_cache_.get() : plan_cache) {}
+
 Snapshot Session::Pin() const {
   Snapshot snap;
   if (online_ != nullptr) {
@@ -193,92 +152,11 @@ Snapshot Session::Pin() const {
 
 Result<PreparedQuery> Session::Prepare(std::string_view text) {
   telemetry::TraceScope span(Hists().prepare_us, "session.prepare");
-  std::shared_ptr<CacheEntry> entry;
-  {
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    auto it = cache_.find(std::string(text));
-    if (it != cache_.end()) {
-      entry = it->second.entry;
-      // Most-recently-prepared: move to the front of the LRU list.
-      lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-    }
-  }
-  if (entry != nullptr) {
-    cells_.cache_hits->Add();
-    return PreparedQuery(this, std::move(entry));
-  }
-
-  DSKG_ASSIGN_OR_RETURN(sparql::Query query, sparql::Parser::Parse(text));
-  entry = std::make_shared<CacheEntry>();
-  entry->text = std::string(text);
-  entry->query = std::move(query);
-  entry->params = entry->query.Parameters();
-  {
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    auto it = cache_.find(entry->text);
-    if (it != cache_.end()) {
-      entry = it->second.entry;  // lost a race: share the winner's
-      lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-    } else {
-      lru_.push_front(entry->text);
-      cache_.emplace(entry->text,
-                     session_internal::CacheSlot{entry, lru_.begin()});
-      EvictOverflowLocked();
-    }
-  }
-  cells_.prepares->Add();
+  bool parsed = false;
+  DSKG_ASSIGN_OR_RETURN(std::shared_ptr<const PlanEntry> entry,
+                        cache_->Lookup(text, &parsed));
+  (parsed ? cells_.prepares : cells_.cache_hits)->Add();
   return PreparedQuery(this, std::move(entry));
-}
-
-void Session::EvictOverflowLocked() {
-  if (plan_cache_capacity_ == 0) return;
-  while (cache_.size() > plan_cache_capacity_) {
-    cache_.erase(lru_.back());
-    lru_.pop_back();
-    cells_.evictions->Add();
-  }
-}
-
-void Session::SetPlanCacheCapacity(size_t capacity) {
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  plan_cache_capacity_ = capacity;
-  EvictOverflowLocked();
-}
-
-size_t Session::plan_cache_size() const {
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  return cache_.size();
-}
-
-Result<std::shared_ptr<const PreparedPlan>> Session::PlanFor(
-    CacheEntry* entry, const DualStore& store) {
-  const uint64_t epoch = store.plan_epoch();
-  bool replanned = false;
-  {
-    std::lock_guard<std::mutex> lock(entry->mu);
-    if (entry->plan != nullptr && entry->plan->plan_epoch == epoch) {
-      cells_.executions->Add();
-      return entry->plan;
-    }
-    replanned = entry->plan != nullptr;
-  }
-  std::shared_ptr<const PreparedPlan> shared;
-  if (shared_cache_ != nullptr) {
-    // Cross-session path: N sessions sharing the cache compile this
-    // (text, epoch) once. The cached parse in `entry` skips a re-parse.
-    DSKG_ASSIGN_OR_RETURN(
-        shared, shared_cache_->GetOrPrepare(entry->text, store, &entry->query));
-  } else {
-    DSKG_ASSIGN_OR_RETURN(PreparedPlan plan, store.Prepare(entry->query));
-    shared = std::make_shared<const PreparedPlan>(std::move(plan));
-  }
-  {
-    std::lock_guard<std::mutex> lock(entry->mu);
-    entry->plan = shared;
-  }
-  cells_.executions->Add();
-  if (replanned) cells_.replans->Add();
-  return shared;
 }
 
 Result<QueryExecution> Session::Execute(std::string_view text) {
@@ -311,19 +189,12 @@ std::future<Result<QueryExecution>> Session::SubmitAsync(
       });
 }
 
-void Session::ClearPlanCache() {
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  cache_.clear();
-  lru_.clear();
-}
-
 Session::Stats Session::stats() const {
   Stats s;
   s.prepares = cells_.prepares->value();
   s.cache_hits = cells_.cache_hits->value();
   s.executions = cells_.executions->value();
   s.replans = cells_.replans->value();
-  s.evictions = cells_.evictions->value();
   return s;
 }
 

@@ -39,30 +39,31 @@
 /// (InvalidArgument), and executing with unbound parameters fails
 /// (FailedPrecondition) — no path silently yields an empty table.
 ///
-/// Threading: `Session` itself is thread-safe — the plan cache is
-/// shared under a mutex taken per `Prepare`, stats counters are this
+/// Threading: `Session` itself is thread-safe — `Prepare` takes the plan
+/// cache's map lock for one text lookup, stats counters are this
 /// session's own cells in the telemetry registry's `session.*` counters,
-/// and concurrent executions only touch a per-entry mutex for a pointer
-/// compare/swap before running lock-free. A `PreparedQuery` or `Cursor`
-/// instance is a single-thread object — create one per worker (they
-/// share the cached plan, so this is cheap).
+/// and concurrent executions only touch the cache entry's mutex for a
+/// pointer compare/swap before running lock-free. A `PreparedQuery` or
+/// `Cursor` instance is a single-thread object — create one per worker
+/// (they share the cached plan, so this is cheap).
 ///
-/// Cache bound: the plan cache holds at most `plan_cache_capacity`
-/// entries (default `kDefaultPlanCacheCapacity`; 0 = unbounded). When a
-/// `Prepare` of a new text overflows it, the least-recently-*prepared*
-/// text is evicted (`stats().evictions`). Outstanding `PreparedQuery`
+/// Plan cache: a session prepares through one `SharedPlanCache` — its
+/// own by default, or one borrowed at construction, such as a server's
+/// `plan_cache()`, so every session and wire statement on that cache
+/// compiles a `(text, plan_epoch)` once. The cache holds at most
+/// `SharedPlanCache::kDefaultCapacity` texts unless `plan_cache().
+/// set_capacity()` rebounds it (0 = unbounded). When a `Prepare` of a
+/// new text overflows it, the least-recently-*prepared* text is evicted
+/// (`plan_cache().stats().evictions`). Outstanding `PreparedQuery`
 /// handles keep their entry alive through their shared pointer and keep
 /// working; re-preparing an evicted text is a fresh parse.
 
-#include <atomic>
 #include <future>
-#include <list>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -81,25 +82,6 @@ namespace dskg::core {
 class Session;
 
 namespace session_internal {
-
-/// One cached prepared query: the store-independent parse result plus the
-/// epoch-stamped plan, refreshed in place when the store's physical state
-/// moves. Shared by every `PreparedQuery` handle for the same text.
-struct CacheEntry {
-  std::string text;
-  sparql::Query query;               // parsed once, may contain $params
-  std::vector<std::string> params;   // distinct $param names
-
-  std::mutex mu;                     // guards `plan`
-  std::shared_ptr<const PreparedPlan> plan;  // null until first execution
-};
-
-/// A plan-cache slot: the shared entry plus its position in the session's
-/// least-recently-prepared list (most recent at the front).
-struct CacheSlot {
-  std::shared_ptr<CacheEntry> entry;
-  std::list<std::string>::iterator lru_it;
-};
 
 /// An epoch-pinned view of the session's store: for an `OnlineStore` the
 /// guard keeps the published snapshot immutable and `view` points at it
@@ -151,11 +133,11 @@ class Cursor {
 /// create per worker thread.
 class PreparedQuery {
  public:
-  const std::string& text() const { return entry_->text; }
+  const std::string& text() const { return bindings_.entry().text; }
 
   /// Distinct `$parameter` names, in first-appearance order.
   const std::vector<std::string>& parameters() const {
-    return entry_->params;
+    return bindings_.entry().params;
   }
 
   /// Binds `$param` to the term with text `term`. InvalidArgument when no
@@ -183,15 +165,8 @@ class PreparedQuery {
 
  private:
   friend class Session;
-  PreparedQuery(Session* session,
-                std::shared_ptr<session_internal::CacheEntry> entry);
-
-  struct Binding {
-    bool bound = false;
-    std::string term;                       // bound term text
-    rdf::TermId id = rdf::kInvalidTermId;   // resolved id
-    uint64_t epoch = 0;                     // plan_epoch at resolve time
-  };
+  PreparedQuery(Session* session, std::shared_ptr<const PlanEntry> entry)
+      : session_(session), bindings_(std::move(entry)) {}
 
   /// Re-validates the plan and the bound ids against `snap`, returning
   /// the per-plan-parameter value array (empty when no parameters).
@@ -200,43 +175,26 @@ class PreparedQuery {
       std::shared_ptr<const PreparedPlan>* plan);
 
   Session* session_;
-  std::shared_ptr<session_internal::CacheEntry> entry_;
-  std::vector<Binding> bindings_;  // aligned with entry_->params
+  ParamBindings bindings_;
 };
 
 /// The session façade over a `DualStore` or an `OnlineStore`.
 class Session {
  public:
-  /// Default bound on cached plans. Generous for any workload's template
-  /// catalog while capping an adversarial stream of distinct texts.
-  static constexpr size_t kDefaultPlanCacheCapacity = 256;
+  /// Neither store, pool nor plan cache is owned; all must outlive the
+  /// session. `pool` (optional) serves `SubmitAsync`. `plan_cache`
+  /// (optional) is a cache shared with other sessions or a server; null
+  /// gives the session a cache of its own.
+  explicit Session(DualStore* store, ThreadPool* pool = nullptr,
+                   SharedPlanCache* plan_cache = nullptr)
+      : Session(store, nullptr, pool, plan_cache) {}
+  explicit Session(OnlineStore* store, ThreadPool* pool = nullptr,
+                   SharedPlanCache* plan_cache = nullptr)
+      : Session(nullptr, store, pool, plan_cache) {}
 
-  /// Neither store nor pool is owned; both must outlive the session.
-  /// `pool` (optional) serves `SubmitAsync`.
-  explicit Session(DualStore* store, ThreadPool* pool = nullptr)
-      : dual_(store), pool_(pool) {}
-  explicit Session(OnlineStore* store, ThreadPool* pool = nullptr)
-      : online_(store), pool_(pool) {}
-
-  /// Rebounds the plan cache to at most `capacity` entries (0 =
-  /// unbounded), evicting least-recently-prepared entries immediately if
-  /// the cache is over the new bound.
-  void SetPlanCacheCapacity(size_t capacity);
-
-  /// Attaches a cross-session shared plan cache (borrowed; must outlive
-  /// the session; null detaches). With a cache attached, a plan that is
-  /// missing or stale in this session's per-text entry is fetched from —
-  /// and installed into — the shared cache, so N sessions preparing the
-  /// same template against the same store state compile it once. The
-  /// session's own cache still provides the lock-free fast path for a
-  /// handle re-executing an unchanged plan.
-  void set_shared_plan_cache(SharedPlanCache* cache) {
-    shared_cache_ = cache;
-  }
-  SharedPlanCache* shared_plan_cache() const { return shared_cache_; }
-
-  /// Cached plans currently held.
-  size_t plan_cache_size() const;
+  /// The cache this session prepares through: its `size()`,
+  /// `set_capacity()` and `stats()`.
+  SharedPlanCache& plan_cache() const { return *cache_; }
 
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
@@ -260,9 +218,6 @@ class Session {
   /// again immediately.
   std::future<Result<QueryExecution>> SubmitAsync(PreparedQuery prepared);
 
-  /// Drops every cached plan (handles re-prepare lazily on next use).
-  void ClearPlanCache();
-
   /// Compatibility view over this session's telemetry counter cells:
   /// same fields, same per-instance semantics as the pre-telemetry
   /// atomics. The registry counters `session.*` are the single source of
@@ -273,35 +228,23 @@ class Session {
     uint64_t cache_hits = 0;   ///< Prepare served from the cache
     uint64_t executions = 0;   ///< ExecuteAll / cursor opens
     uint64_t replans = 0;      ///< plans re-validated after an epoch move
-    uint64_t evictions = 0;    ///< entries dropped by the LRU bound
   };
   Stats stats() const;
 
  private:
   friend class PreparedQuery;
 
+  Session(DualStore* dual, OnlineStore* online, ThreadPool* pool,
+          SharedPlanCache* plan_cache);
+
   /// Pins the current snapshot (wait-free over an OnlineStore).
   session_internal::Snapshot Pin() const;
 
-  /// The entry's plan, re-prepared iff its epoch differs from `store`'s.
-  Result<std::shared_ptr<const PreparedPlan>> PlanFor(
-      session_internal::CacheEntry* entry, const DualStore& store);
-
-  DualStore* dual_ = nullptr;
-  OnlineStore* online_ = nullptr;
-  ThreadPool* pool_ = nullptr;
-  SharedPlanCache* shared_cache_ = nullptr;
-
-  /// Evicts least-recently-prepared entries until the cache fits the
-  /// capacity. Caller holds `cache_mu_`.
-  void EvictOverflowLocked();
-
-  mutable std::mutex cache_mu_;
-  std::unordered_map<std::string, session_internal::CacheSlot> cache_;
-  /// Texts ordered by last `Prepare`, most recent first. Guarded by
-  /// `cache_mu_`.
-  std::list<std::string> lru_;
-  size_t plan_cache_capacity_ = kDefaultPlanCacheCapacity;
+  DualStore* dual_;
+  OnlineStore* online_;
+  ThreadPool* pool_;
+  std::unique_ptr<SharedPlanCache> owned_cache_;  // null when borrowing
+  SharedPlanCache* cache_;
 
   /// This session's dedicated write cells in the global `session.*`
   /// counters — lock-free increments (executions must not serialize on a
@@ -314,7 +257,6 @@ class Session {
     telemetry::Counter::Cell* cache_hits;
     telemetry::Counter::Cell* executions;
     telemetry::Counter::Cell* replans;
-    telemetry::Counter::Cell* evictions;
   };
   StatCells cells_;
 };

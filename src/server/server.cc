@@ -18,7 +18,6 @@
 #include "core/query_processor.h"
 #include "rdf/dictionary.h"
 #include "sparql/bindings.h"
-#include "sparql/parser.h"
 
 namespace dskg::server {
 
@@ -112,11 +111,6 @@ void EncodeRows(std::vector<uint8_t>* out, uint32_t request_id,
 
 // ---- connection & work-item state -------------------------------------------
 
-struct Server::StmtState {
-  std::string text;
-  std::shared_ptr<const sparql::Query> parsed;
-};
-
 struct Server::CursorState {
   std::shared_ptr<const core::PreparedPlan> plan;
   core::OnlineStore::ReadGuard pin;  ///< the cursor's own epoch pin
@@ -148,7 +142,7 @@ struct Server::Connection {
   /// server-numbered. Guarded by `state_mu` (workers race on EXECUTE vs
   /// FETCH vs CLOSE for one connection).
   std::mutex state_mu;
-  std::unordered_map<uint32_t, StmtState> stmts;
+  std::unordered_map<uint32_t, std::shared_ptr<const core::PlanEntry>> stmts;
   std::unordered_map<uint32_t, std::unique_ptr<CursorState>> cursors;
   uint32_t next_cursor_id = 1;
 };
@@ -501,21 +495,20 @@ Status Server::HandlePrepare(const WorkItem& item,
   if (!r.GetU32(&stmt_id) || !r.GetString(&text) || !r.AtEnd()) {
     return Status::InvalidArgument("malformed PREPARE frame");
   }
-  DSKG_ASSIGN_OR_RETURN(sparql::Query parsed, sparql::Parser::Parse(text));
-  DSKG_ASSIGN_OR_RETURN(std::shared_ptr<const core::PreparedPlan> plan,
-                        plan_cache_.GetOrPrepare(text, g.store(), &parsed));
+  DSKG_ASSIGN_OR_RETURN(std::shared_ptr<const core::PlanEntry> entry,
+                        plan_cache_.Lookup(text));
+  // Plan now, so planning errors surface at PREPARE.
+  DSKG_RETURN_NOT_OK(plan_cache_.PlanFor(*entry, g.store()).status());
   {
     std::lock_guard<std::mutex> lk(item.conn->state_mu);
-    StmtState& stmt = item.conn->stmts[stmt_id];  // re-PREPARE overwrites
-    stmt.text = std::move(text);
-    stmt.parsed = std::make_shared<const sparql::Query>(std::move(parsed));
+    item.conn->stmts[stmt_id] = entry;  // re-PREPARE overwrites
   }
   std::vector<uint8_t> out;
   WireWriter w(&out);
   const size_t start = w.BeginFrame(MsgType::kPrepared, item.request_id);
   w.PutU32(stmt_id);
-  w.PutU16(static_cast<uint16_t>(plan->params.size()));
-  for (const std::string& p : plan->params) w.PutString(p);
+  w.PutU16(static_cast<uint16_t>(entry->params.size()));
+  for (const std::string& p : entry->params) w.PutString(p);
   w.FinishFrame(start);
   SendBytes(item.conn, out);
   return Status::OK();
@@ -539,7 +532,7 @@ Status Server::HandleExecute(const WorkItem& item,
   }
   if (!r.AtEnd()) return Status::InvalidArgument("malformed EXECUTE frame");
 
-  StmtState stmt;
+  std::shared_ptr<const core::PlanEntry> entry;
   {
     std::lock_guard<std::mutex> lk(item.conn->state_mu);
     auto it = item.conn->stmts.find(stmt_id);
@@ -547,43 +540,22 @@ Status Server::HandleExecute(const WorkItem& item,
       return Status::NotFound("no statement with id " +
                               std::to_string(stmt_id));
     }
-    stmt = it->second;  // copies text + shares the parse
+    entry = it->second;
   }
 
-  // Resolve the plan through the shared cache (one compile per (text,
-  // epoch) process-wide) and the bindings against the pinned dictionary.
-  DSKG_ASSIGN_OR_RETURN(
-      std::shared_ptr<const core::PreparedPlan> plan,
-      plan_cache_.GetOrPrepare(stmt.text, g.store(), stmt.parsed.get()));
-  auto resolve = [&stmt](const core::PreparedPlan& p, const rdf::Dictionary& d,
-                         const std::vector<std::pair<std::string,
-                                                     std::string>>& binds)
+  // The statement's plan for `store`'s epoch (a pointer compare on the
+  // shared entry unless the epoch moved) and the bindings resolved
+  // against its dictionary.
+  core::ParamBindings params(entry);
+  std::shared_ptr<const core::PreparedPlan> plan;
+  auto resolve = [&](const core::DualStore& store)
       -> Result<std::vector<rdf::TermId>> {
-    std::vector<rdf::TermId> values(p.params.size(), rdf::kInvalidTermId);
-    for (const auto& [name, term] : binds) {
-      size_t idx = p.params.size();
-      for (size_t i = 0; i < p.params.size(); ++i) {
-        if (p.params[i] == name) { idx = i; break; }
-      }
-      if (idx == p.params.size()) {
-        return Status::InvalidArgument("no parameter $" + name +
-                                       " in query \"" + stmt.text + "\"");
-      }
-      values[idx] = d.Lookup(term);
-      if (values[idx] == rdf::kInvalidTermId) {
-        return Status::NotFound("term " + term +
-                                " is not in the dictionary; binding it to $" +
-                                name + " could never match");
-      }
+    DSKG_ASSIGN_OR_RETURN(plan, plan_cache_.PlanFor(*entry, store));
+    for (const auto& [name, term] : bindings) {
+      DSKG_RETURN_NOT_OK(
+          params.Bind(name, term, store.dict(), plan->plan_epoch));
     }
-    for (size_t i = 0; i < p.params.size(); ++i) {
-      if (values[i] == rdf::kInvalidTermId) {
-        return Status::FailedPrecondition("parameter $" + p.params[i] +
-                                          " is unbound in query \"" +
-                                          stmt.text + "\"");
-      }
-    }
-    return values;
+    return params.Values(store.dict(), plan->plan_epoch);
   };
 
   if (open_cursor != 0) {
@@ -591,11 +563,8 @@ Status Server::HandleExecute(const WorkItem& item,
     // bindings re-resolve for that pin's (possibly newer) epoch.
     core::OnlineStore::ReadGuard pin = store_->Read();
     core::DualStore::SnapshotScope scope(&pin.snapshot());
-    DSKG_ASSIGN_OR_RETURN(
-        plan, plan_cache_.GetOrPrepare(stmt.text, pin.store(),
-                                       stmt.parsed.get()));
     DSKG_ASSIGN_OR_RETURN(std::vector<rdf::TermId> values,
-                          resolve(*plan, pin.store().dict(), bindings));
+                          resolve(pin.store()));
     DSKG_ASSIGN_OR_RETURN(
         core::ExecutionCursor cursor,
         pin.store().OpenCursor(*plan,
@@ -620,8 +589,7 @@ Status Server::HandleExecute(const WorkItem& item,
     return Status::OK();
   }
 
-  DSKG_ASSIGN_OR_RETURN(std::vector<rdf::TermId> values,
-                        resolve(*plan, g.store().dict(), bindings));
+  DSKG_ASSIGN_OR_RETURN(std::vector<rdf::TermId> values, resolve(g.store()));
   auto& reg = telemetry::MetricsRegistry::Global();
   const bool timed = reg.enabled() && reg.slow_queries().enabled();
   const double start_us = timed ? reg.NowMicros() : 0;
@@ -632,7 +600,7 @@ Status Server::HandleExecute(const WorkItem& item,
     // Tag the wire-level text with the tenant so /debug/slow attributes
     // slow templates to a connection.
     reg.slow_queries().MaybeRecord(
-        "conn=" + std::to_string(item.conn->id) + " " + stmt.text,
+        "conn=" + std::to_string(item.conn->id) + " " + entry->text,
         core::RouteName(exec.route),
         (reg.NowMicros() - start_us) / 1000.0);
   }

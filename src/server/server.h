@@ -26,13 +26,16 @@
 ///   unbounded queue or a stalled socket.
 /// * **Request batching.** A worker pops up to `max_batch` requests and
 ///   executes them under one `OnlineStore::Read()` pin and one
-///   installed `DualStore::SnapshotScope`: one epoch pin and one
-///   shared-plan-cache lookup per (text, batch) amortize across every
-///   request in the batch, and all of them observe the same snapshot.
+///   installed `DualStore::SnapshotScope`: one epoch pin amortizes
+///   across every request in the batch, and all of them observe the
+///   same snapshot.
 /// * **Multi-tenant sessions.** Each connection carries its own
-///   statement and cursor tables (ids are per-connection); plans live
-///   in the process-wide `core::SharedPlanCache`, so N tenants
-///   preparing the same template compile it once per plan epoch.
+///   statement and cursor tables (ids are per-connection). A statement
+///   holds its text's entry in the server's `core::SharedPlanCache`, so
+///   N tenants — and in-process `core::Session`s built over
+///   `plan_cache()` — preparing the same template compile it once per
+///   plan epoch, and an EXECUTE re-validates its plan with a pointer
+///   compare on that entry.
 ///   Cursors own a dedicated epoch pin: FETCH streams the snapshot the
 ///   cursor was opened on no matter how many updates publish meanwhile.
 /// * **Responses may interleave.** Workers complete out of order;
@@ -139,9 +142,8 @@ class Server {
   uint16_t port() const { return port_; }
   uint16_t admin_port() const { return admin_port_; }
 
-  /// The cross-session shared plan cache (all connections plan through
-  /// it; exposed for tests and for in-process sessions that want to
-  /// share it).
+  /// The plan cache every connection plans through; pass it to an
+  /// in-process `core::Session` to share its entries.
   core::SharedPlanCache& plan_cache() { return plan_cache_; }
 
   /// Monotone serving counters (exact; mirrored as `server.*` metrics).
@@ -157,7 +159,6 @@ class Server {
 
  private:
   struct Connection;
-  struct StmtState;
   struct CursorState;
   struct WorkItem;
 

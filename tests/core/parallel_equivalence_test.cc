@@ -3,8 +3,8 @@
 /// costs. These tests pin that down on the hand-checkable SmallPeopleGraph
 /// and on a generated YAGO workload:
 ///
-///   * `WorkloadRunner::RunParallel` must produce bit-identical metrics
-///     (TTI, tuning, per-query traces) to `Run`;
+///   * `WorkloadRunner::Run` with a pool must produce bit-identical metrics
+///     (TTI, tuning, per-query traces) to the serial `Run`;
 ///   * concurrent `DualStore::Process` must return the same binding
 ///     tables as serial calls;
 ///   * `Executor::Execute` sharded over a pool must return the same rows
@@ -82,7 +82,7 @@ void ExpectSameMetrics(const RunMetrics& serial, const RunMetrics& parallel) {
   }
 }
 
-TEST(ParallelEquivalenceTest, RunParallelMatchesRunOnSmallPeopleGraph) {
+TEST(ParallelEquivalenceTest, PooledRunMatchesSerialRunOnSmallPeopleGraph) {
   const Workload w = SmallWorkload();
   ThreadPool pool(4);
 
@@ -102,12 +102,12 @@ TEST(ParallelEquivalenceTest, RunParallelMatchesRunOnSmallPeopleGraph) {
 
   auto sm = serial_runner.Run(w, /*num_batches=*/3);
   ASSERT_TRUE(sm.ok()) << sm.status();
-  auto pm = parallel_runner.RunParallel(w, /*num_batches=*/3, &pool);
+  auto pm = parallel_runner.Run(w, /*num_batches=*/3, &pool);
   ASSERT_TRUE(pm.ok()) << pm.status();
   ExpectSameMetrics(*sm, *pm);
 }
 
-TEST(ParallelEquivalenceTest, RunParallelMatchesRunOnYagoWorkload) {
+TEST(ParallelEquivalenceTest, PooledRunMatchesSerialRunOnYagoWorkload) {
   workload::YagoConfig gen;
   gen.target_triples = 20000;
   rdf::Dataset ds1 = workload::GenerateYago(gen);
@@ -130,7 +130,7 @@ TEST(ParallelEquivalenceTest, RunParallelMatchesRunOnYagoWorkload) {
   auto sm = serial_runner.Run(*w, /*num_batches=*/5);
   ASSERT_TRUE(sm.ok()) << sm.status();
   ThreadPool pool(4);
-  auto pm = parallel_runner.RunParallel(*w, /*num_batches=*/5, &pool);
+  auto pm = parallel_runner.Run(*w, /*num_batches=*/5, &pool);
   ASSERT_TRUE(pm.ok()) << pm.status();
   ExpectSameMetrics(*sm, *pm);
 }

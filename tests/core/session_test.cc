@@ -211,19 +211,19 @@ TEST(SessionTest, PlanCacheEvictsLeastRecentlyPrepared) {
   rdf::Dataset ds = testing::SmallPeopleGraph();
   DualStore store(&ds, {});
   Session session(&store);
-  session.SetPlanCacheCapacity(2);
+  session.plan_cache().set_capacity(2);
   const std::string a = "SELECT ?p WHERE { ?p bornIn berlin . }";
   const std::string b = "SELECT ?p WHERE { ?p bornIn paris . }";
   const std::string c = "SELECT ?p WHERE { ?p bornIn tokyo . }";
   ASSERT_TRUE(session.Prepare(a).ok());
   ASSERT_TRUE(session.Prepare(b).ok());
-  EXPECT_EQ(session.plan_cache_size(), 2u);
-  EXPECT_EQ(session.stats().evictions, 0u);
+  EXPECT_EQ(session.plan_cache().size(), 2u);
+  EXPECT_EQ(session.plan_cache().stats().evictions, 0u);
   // Touch `a` so `b` becomes least-recently-prepared, then overflow.
   ASSERT_TRUE(session.Prepare(a).ok());
   ASSERT_TRUE(session.Prepare(c).ok());
-  EXPECT_EQ(session.plan_cache_size(), 2u);
-  EXPECT_EQ(session.stats().evictions, 1u);
+  EXPECT_EQ(session.plan_cache().size(), 2u);
+  EXPECT_EQ(session.plan_cache().stats().evictions, 1u);
   // `a` survived (hit), `b` was evicted (fresh parse).
   const uint64_t prepares_before = session.stats().prepares;
   ASSERT_TRUE(session.Prepare(a).ok());
@@ -236,13 +236,13 @@ TEST(SessionTest, EvictedPreparedHandleStillExecutes) {
   rdf::Dataset ds = testing::SmallPeopleGraph();
   DualStore store(&ds, {});
   Session session(&store);
-  session.SetPlanCacheCapacity(1);
+  session.plan_cache().set_capacity(1);
   auto prepared = session.Prepare(kFlagshipParam);
   ASSERT_TRUE(prepared.ok());
   ASSERT_TRUE(prepared->Bind("city", "berlin").ok());
   // Evict the flagship entry by preparing a different text.
   ASSERT_TRUE(session.Prepare("SELECT ?p WHERE { ?p bornIn paris . }").ok());
-  EXPECT_EQ(session.stats().evictions, 1u);
+  EXPECT_EQ(session.plan_cache().stats().evictions, 1u);
   // The outstanding handle shares the entry and keeps working.
   auto exec = prepared->ExecuteAll();
   ASSERT_TRUE(exec.ok());
@@ -263,20 +263,20 @@ TEST(SessionTest, ShrinkingCapacityEvictsImmediately) {
                              std::string(city) + " . }")
                     .ok());
   }
-  EXPECT_EQ(session.plan_cache_size(), 3u);
-  session.SetPlanCacheCapacity(1);
-  EXPECT_EQ(session.plan_cache_size(), 1u);
-  EXPECT_EQ(session.stats().evictions, 2u);
+  EXPECT_EQ(session.plan_cache().size(), 3u);
+  session.plan_cache().set_capacity(1);
+  EXPECT_EQ(session.plan_cache().size(), 1u);
+  EXPECT_EQ(session.plan_cache().stats().evictions, 2u);
   // Capacity 0 = unbounded again.
-  session.SetPlanCacheCapacity(0);
+  session.plan_cache().set_capacity(0);
   for (int i = 0; i < 10; ++i) {
     ASSERT_TRUE(session
                     .Prepare("SELECT ?p WHERE { ?p bornIn city" +
                              std::to_string(i) + " . }")
                     .ok());
   }
-  EXPECT_EQ(session.plan_cache_size(), 11u);
-  EXPECT_EQ(session.stats().evictions, 2u);
+  EXPECT_EQ(session.plan_cache().size(), 11u);
+  EXPECT_EQ(session.plan_cache().stats().evictions, 2u);
 }
 
 TEST(SessionTest, SubmitAsyncExecutesOnThePool) {

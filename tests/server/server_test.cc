@@ -223,6 +223,37 @@ TEST_F(ServerTest, ExecuteMatchesSessionOracleBitIdentically) {
   }
 }
 
+// An in-process Session built over the server's plan cache and the wire
+// statements of the same text share one cache entry: one compilation,
+// the same rows and the same charges on both paths.
+TEST_F(ServerTest, InProcessSessionAndWireShareOnePlan) {
+  StartServer();
+  Session local(store_.get(), nullptr, &server_->plan_cache());
+  auto prepared = local.Prepare(kFlagshipParam);
+  ASSERT_TRUE(prepared.ok());
+  ASSERT_TRUE(prepared->Bind("city", "berlin").ok());
+  auto in_process = prepared->ExecuteAll();
+  ASSERT_TRUE(in_process.ok()) << in_process.status();
+  ASSERT_EQ(server_->plan_cache().stats().misses, 1u);
+
+  Client client = Connect();
+  ASSERT_TRUE(client.Prepare(1, kFlagshipParam).ok());
+  auto wire = client.Execute(1, {{"city", "berlin"}});
+  ASSERT_TRUE(wire.ok()) << wire.status();
+
+  const core::SharedPlanCache::Stats s = server_->plan_cache().stats();
+  EXPECT_EQ(s.misses, 1u);
+  EXPECT_EQ(s.hits, 2u);    // the wire PREPARE and EXECUTE
+  EXPECT_EQ(s.parses, 0u);  // the session counted the one parse
+  EXPECT_EQ(local.stats().prepares, 1u);
+
+  EXPECT_EQ(wire->route, core::RouteName(in_process->route));
+  EXPECT_EQ(wire->columns, in_process->result.columns);
+  EXPECT_EQ(wire->rows,
+            WireRows(in_process->result, store_->Read().store().dict()));
+  ExpectChargesEqual(*wire, *in_process);
+}
+
 TEST_F(ServerTest, CursorStreamsSameRowsAndCumulativeCharges) {
   StartServer();
   Client client = Connect();
